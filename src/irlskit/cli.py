@@ -115,10 +115,9 @@ def _cmd_recover(args) -> int:
         eps_floor=args.eps_floor,
         step_tol=args.step_tol,
     )
-    resolved = cfg.resolve_K(phi)
-    if args.K is None:
-        print(f"K = {resolved} (heuristic default)")
     result = irls_run(phi, y, cfg)
+    if args.K is None:
+        print(f"K = {result.resolved_K} (heuristic default)")
     save_result(result, args.out)
     print(f"termination: {result.termination}")
     print(f"wrote {args.out}")

@@ -3,8 +3,10 @@
 All randomness flows through a counter-based generator (numpy Philox)
 keyed by seeds derived with a stable hash from the master seed and the
 cell coordinates, so any single trial can be reproduced in isolation and
-whole tables are bit-identical across runs.  Trials are independent and
-may execute in a process pool; aggregation is pure counting, so results
+whole tables are bit-identical across runs.  Every phase-table trial is a
+:func:`rerun_trial` call, the one place trial seeds are derived.  Trials
+are independent and may execute in a process pool, which receives the
+config once per chunk of trials; aggregation is pure counting, so results
 do not depend on completion order.  The environment variable
 ``IRLS_THREADS`` caps the worker count.
 """
@@ -16,13 +18,13 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import SchemaMismatchError
-from .linalg import SensingMatrix
+from .linalg import SensingMatrix, _fmt
 from .solver import (
     IrlsConfig,
     RecoveryResult,
@@ -216,11 +218,16 @@ def _cached_matrix(m: int, n: int, seed: int) -> SensingMatrix:
     return gen_gaussian_matrix(m, n, seed)
 
 
-def _run_trial(spec: tuple) -> tuple:
-    """One phase-transition trial; module-level so pools can pickle it."""
-    (cfg_doc, k, tau, trial_index, matrix_seed, vector_seed) = spec
-    cfg = ExperimentConfig.from_dict(cfg_doc)
-    phi = _cached_matrix(cfg.m, cfg.N, matrix_seed)
+def rerun_trial(cfg: ExperimentConfig, k: int, tau: float, trial_index: int) -> TrialRecord:
+    """Run one (k, method, trial) entry of a phase table.
+
+    The only place trial seeds are derived: ``run_phase_transition`` maps
+    this function over every key, so a rerun is the table's trial itself.
+    """
+    tag = method_tag(tau)
+    matrix_key = ("matrix", k, tag, trial_index) if cfg.per_trial_matrix else ("matrix",)
+    phi = _cached_matrix(cfg.m, cfg.N, derive_seed(cfg.master_seed, *matrix_key))
+    vector_seed = derive_seed(cfg.master_seed, "trial", k, tag, trial_index)
     planted = gen_sparse_vector(cfg.N, k, vector_seed)
     result = irls_run(phi, phi.entries @ planted, _solver_config(cfg, tau, cfg.resolve_K(k)))
     err = float(np.sum(np.abs(result.x_final - planted)))
@@ -229,9 +236,7 @@ def _run_trial(spec: tuple) -> tuple:
         rel = err / norm
     else:
         rel = 0.0 if err == 0.0 else np.inf
-    return (
-        k,
-        method_tag(tau),
+    return TrialRecord(
         trial_index,
         vector_seed,
         bool(rel <= cfg.success_tol),
@@ -248,63 +253,34 @@ def run_phase_transition(
 
     One measurement matrix per table by default (seeded from the master
     seed); ``per_trial_matrix=True`` regenerates the matrix for every
-    trial.  Trial seeds derive from (master_seed, k, method, trial), so
-    individual cells are reproducible in isolation.
+    trial.  Every trial is a :func:`rerun_trial` call, so individual
+    cells are reproducible in isolation.
     """
     ks = cfg.k_list if cfg.k_list is not None else [cfg.k]
     if any(not 0 <= k <= cfg.m for k in ks):
         raise ValueError("k_list entries must be in [0, m]")
-    table_matrix_seed = derive_seed(cfg.master_seed, "matrix")
-    specs = []
-    cfg_doc = cfg.to_dict()
-    for k in ks:
-        for tau in cfg.tau_list:
-            tag = method_tag(tau)
-            for t in range(cfg.trials):
-                matrix_seed = (
-                    derive_seed(cfg.master_seed, "matrix", k, tag, t)
-                    if cfg.per_trial_matrix
-                    else table_matrix_seed
-                )
-                vector_seed = derive_seed(cfg.master_seed, "trial", k, tag, t)
-                specs.append((cfg_doc, k, tau, t, matrix_seed, vector_seed))
+    keys = [(k, tau, t) for k in ks for tau in cfg.tau_list for t in range(cfg.trials)]
+    trial = partial(rerun_trial, cfg)
     workers = n_workers if n_workers is not None else worker_count()
-    if workers > 1 and len(specs) > 8:
+    if workers > 1 and len(keys) > 8:
+        # pool.map pickles ``trial``, and with it the config, once per chunk
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, specs, chunksize=16))
+            records = list(pool.map(trial, *zip(*keys), chunksize=16))
     else:
-        outcomes = [_run_trial(s) for s in specs]
+        records = [trial(*key) for key in keys]
     cells: dict = {}
-    for k, tag, *_ in outcomes:
-        cells.setdefault((k, tag), [])
-    for k, tag, trial_index, seed, success, rel, iters, term in outcomes:
-        cells[(k, tag)].append(
-            TrialRecord(trial_index, seed, success, rel, iters, term)
-        )
+    for (k, tau, _), record in zip(keys, records):
+        cells.setdefault((k, method_tag(tau)), []).append(record)
     rows = {}
-    for key, records in cells.items():
-        n_tr = len(records)
-        succ = sum(r.success for r in records)
+    for key, recs in cells.items():
+        succ = sum(r.success for r in recs)
         rows[key] = PhaseCell(
-            trials=n_tr,
+            trials=len(recs),
             successes=succ,
-            success_rate=succ / n_tr,
-            mean_iters=float(np.mean([r.iterations for r in records])),
+            success_rate=succ / len(recs),
+            mean_iters=float(np.mean([r.iterations for r in recs])),
         )
     return PhaseTransitionTable(rows=rows, config=cfg)
-
-
-def rerun_trial(cfg: ExperimentConfig, k: int, tau: float, trial_index: int) -> TrialRecord:
-    """Reproduce a single (k, method, trial) cell of a phase table."""
-    tag = method_tag(tau)
-    matrix_seed = (
-        derive_seed(cfg.master_seed, "matrix", k, tag, trial_index)
-        if cfg.per_trial_matrix
-        else derive_seed(cfg.master_seed, "matrix")
-    )
-    vector_seed = derive_seed(cfg.master_seed, "trial", k, tag, trial_index)
-    out = _run_trial((cfg.to_dict(), k, tau, trial_index, matrix_seed, vector_seed))
-    return TrialRecord(out[2], out[3], out[4], out[5], out[6], out[7])
 
 
 @dataclass
@@ -336,22 +312,16 @@ def run_trace(
     vector_seed = derive_seed(cfg.master_seed, "vector")
     phi = gen_gaussian_matrix(cfg.m, cfg.N, matrix_seed)
     planted = gen_sparse_vector(cfg.N, cfg.k, vector_seed, cfg.gap_ratio)
-    ws = warmstart if warmstart is not None else (0 if tau == 1.0 else cfg.warmstart_iters)
-    solver_cfg = IrlsConfig(
-        K=cfg.resolve_K(cfg.k),
-        tau=tau,
-        warmstart_iters=ws,
-        max_iters=cfg.max_iters,
-        eps_floor=cfg.eps_floor,
-        step_tol=cfg.step_tol,
-    )
+    solver_cfg = _solver_config(cfg, tau, cfg.resolve_K(cfg.k))
+    if warmstart is not None:
+        solver_cfg = replace(solver_cfg, warmstart_iters=warmstart)
     result = irls_run(phi, phi.entries @ planted, solver_cfg, x_ref=planted)
     diagnostics = rate_diagnostics(result, planted, tau) if result.trace else []
     study = TraceStudy(
         result=result,
         diagnostics=diagnostics,
         planted=planted,
-        tag=method_tag(tau) if ws == 0 or tau == 1.0 else f"hybrid-tau{tau:g}",
+        tag=method_tag(tau),
         matrix_seed=matrix_seed,
         vector_seed=vector_seed,
     )
@@ -363,10 +333,6 @@ def run_trace(
 
 
 # --- CSV schemas -------------------------------------------------------------
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def write_trace_csv(result: RecoveryResult, path) -> None:

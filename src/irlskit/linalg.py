@@ -213,6 +213,8 @@ def read_matrix(path) -> np.ndarray:
             if len(vals) != n:
                 raise ValueError(f"{path}: row {i} has {len(vals)} values, expected {n}")
             rows.append([float(v) for v in vals])
+        if fh.read().strip():
+            raise ValueError(f"{path}: unexpected content after {m} rows")
     return np.array(rows, dtype=float)
 
 
@@ -232,6 +234,8 @@ def read_vector(path) -> np.ndarray:
         vals = fh.readline().split()
         if len(vals) != n:
             raise ValueError(f"{path}: got {len(vals)} values, expected {n}")
+        if fh.read().strip():
+            raise ValueError(f"{path}: unexpected content after the values")
     return np.array([float(v) for v in vals])
 
 

@@ -48,6 +48,17 @@ def test_recover_heuristic_default_printed(tiny_files, tmp_path, capsys):
     assert re.search(r"K = \d+", captured.out)
 
 
+def test_recover_rejects_trailing_matrix_rows(tiny_files, tmp_path, capsys):
+    matrix, rhs = tiny_files
+    with open(matrix, "a", encoding="ascii") as fh:
+        fh.write("1 1 1\n")
+    out = tmp_path / "result.json"
+    code = main(["recover", "--matrix", matrix, "--rhs", rhs, "--out", str(out)])
+    assert code == 2
+    assert "phi.mat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_nsp_tiny(tiny_files, capsys):
     matrix, _ = tiny_files
     code = main(["check", "--matrix", matrix, "--nsp", "1"])

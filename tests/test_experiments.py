@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,13 +132,26 @@ def test_phase_determinism(small_phase_table):
     assert again.rows == table.rows
 
 
-def test_phase_per_cell_reproducibility(small_phase_table):
+@pytest.mark.parametrize(
+    "per_trial_matrix", [False, True], ids=["shared_matrix", "per_trial_matrix"]
+)
+def test_phase_per_cell_reproducibility(small_phase_table, per_trial_matrix):
     cfg, table = small_phase_table
-    rec1 = rerun_trial(cfg, 2, 1.0, 3)
-    rec2 = rerun_trial(cfg, 2, 1.0, 3)
-    assert rec1 == rec2
-    successes = sum(rerun_trial(cfg, 2, 1.0, t).success for t in range(cfg.trials))
-    assert successes == table.rows[(2, "tau1")].successes
+    if per_trial_matrix:
+        cfg = dataclasses.replace(cfg, per_trial_matrix=True)
+        table = run_phase_transition(cfg, n_workers=2)
+    assert rerun_trial(cfg, 2, 1.0, 3) == rerun_trial(cfg, 2, 1.0, 3)
+    rebuilt = {}
+    for k in cfg.k_list:
+        for tau in cfg.tau_list:
+            records = [rerun_trial(cfg, k, tau, t) for t in range(cfg.trials)]
+            rebuilt[(k, method_tag(tau))] = (
+                sum(r.success for r in records),
+                float(np.mean([r.iterations for r in records])),
+            )
+    assert rebuilt == {
+        key: (cell.successes, cell.mean_iters) for key, cell in table.rows.items()
+    }
 
 
 def test_phase_parallel_matches_serial(small_phase_table):

@@ -201,6 +201,24 @@ def test_read_matrix_rejects_bad_header(tmp_path):
         read_matrix(path)
 
 
+def test_read_matrix_rejects_trailing_rows(tmp_path):
+    path = tmp_path / "extra.mat"
+    path.write_text("2 3\n1 0 1\n0 1 1\n\n  \n")
+    assert read_matrix(path).shape == (2, 3)  # trailing whitespace is fine
+    path.write_text("2 3\n1 0 1\n0 1 1\n1 1 1\n")
+    with pytest.raises(ValueError, match="extra.mat"):
+        read_matrix(path)
+
+
+def test_read_vector_rejects_trailing_lines(tmp_path):
+    path = tmp_path / "extra.vec"
+    path.write_text("2\n1 1\n\n")
+    assert np.array_equal(read_vector(path), [1.0, 1.0])
+    path.write_text("2\n1 1\n3 4\n")
+    with pytest.raises(ValueError, match="extra.vec"):
+        read_vector(path)
+
+
 def test_read_sensing_matrix(tmp_path):
     path = tmp_path / "phi.mat"
     write_matrix(path, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
