@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import IllConditionedError, MissingReferenceError
 from .linalg import SensingMatrix, weighted_ls_solve
-from .sparsity import rearrangement
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -187,14 +186,19 @@ def optimal_weights(x: np.ndarray, eps: float, tau: float = 1.0) -> np.ndarray:
 
 
 def epsilon_update(eps_prev: float, x_next: np.ndarray, k_order: int) -> float:
-    """New smoothing parameter ``min(eps_prev, r(x_next)_{K+1} / N)``."""
+    """New smoothing parameter ``min(eps_prev, r(x_next)_{K+1} / N)``.
+
+    ``r(x)_{K+1}``, the (K+1)-th largest magnitude, is read from a partial
+    sort; it equals ``rearrangement(x_next)[K]`` without sorting all of x.
+    """
     x_next = np.asarray(x_next, dtype=float)
     n = x_next.size
     if not 1 <= k_order < n:
         raise ValueError(f"need 1 <= K < N, got K={k_order}, N={n}")
     if eps_prev < 0:
         raise ValueError("eps_prev must be non-negative")
-    return min(eps_prev, float(rearrangement(x_next)[k_order]) / n)
+    kth = n - 1 - k_order
+    return min(eps_prev, float(np.partition(np.abs(x_next), kth)[kth]) / n)
 
 
 def initial_state(n_cols: int, cfg: IrlsConfig) -> IterateState:

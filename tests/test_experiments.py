@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irlskit
 from irlskit import (
     ExperimentConfig,
     gen_gaussian_matrix,
@@ -195,6 +200,30 @@ def test_trace_study_and_csv(tmp_path):
     assert len(ratio_rows) == len(study.diagnostics)
     if ratio_rows:
         assert ratio_rows[0]["linear_ratio"] == study.diagnostics[0][1]
+
+
+_TRACE_CHILD = """
+import sys
+from irlskit.experiments import ExperimentConfig, run_trace
+cfg = ExperimentConfig(m=50, N=250, k=8, master_seed=1)
+for tau in (1.0, 0.6):
+    run_trace(cfg, tau, trace_csv=f"{sys.argv[1]}/trace-{tau}.csv")
+"""
+
+
+def test_trace_independent_of_blas_threads(tmp_path):
+    # One child interpreter per BLAS thread count: OpenBLAS reads the
+    # variable once, when it loads.
+    src = str(Path(irlskit.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", _TRACE_CHILD, str(out)], env=env, check=True)
+    for tau in (1.0, 0.6):
+        name = f"trace-{tau}.csv"
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_trace_zero_sparsity_stops_immediately(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irlskit import (
     IllConditionedError,
@@ -108,6 +110,38 @@ def test_weighted_ls_feasibility_and_orthogonality():
             eta = basis.matrix[:, j]
             ew = np.sqrt(np.sum(w * eta * eta))
             assert abs(np.sum(w * x * eta)) <= 1e-8 * xw * ew
+
+
+@st.composite
+def _weighted_problems(draw):
+    """Gaussian m x N matrix with m < N <= 40, a right-hand side, and
+    weights in [1e-6, 1e6] with log-uniform magnitudes."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exps = draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n))
+    return rng.normal(size=(m, n)), rng.normal(size=m), 10.0 ** np.array(exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_problems())
+def test_weighted_ls_property(problem):
+    a, y, w = problem
+    phi = SensingMatrix(a)
+    try:
+        x = weighted_ls_solve(phi, y, w)
+    except IllConditionedError:
+        return
+    d = 1.0 / w
+    gram = (a * d) @ a.T
+    # Both solves run on the same Gram, so their forward errors grow with
+    # its condition number; a flat tolerance holds only while that is small.
+    slack = 16.0 * np.finfo(float).eps * np.linalg.cond(gram)
+    assert np.linalg.norm(a @ x - y) <= max(1e-9, slack) * np.linalg.norm(y)
+    basis = null_space_basis(phi).matrix
+    assert np.max(np.abs(basis.T @ (w * x))) <= 1e-12 * np.linalg.norm(w * x)
+    ref = d * (a.T @ np.linalg.solve(gram, y))
+    assert np.linalg.norm(x - ref) <= max(1e-8, slack) * np.linalg.norm(ref)
 
 
 def test_weighted_ls_scale_equivariance():

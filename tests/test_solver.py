@@ -16,6 +16,7 @@ from irlskit import (
     irls_step,
     optimal_weights,
     rate_diagnostics,
+    rearrangement,
     smoothed_objective,
     surrogate_value,
     theoretical_contraction_factor,
@@ -91,6 +92,24 @@ def test_epsilon_update_examples():
     assert epsilon_update(1.0, np.array([5.0, 0.3, 0.03]), 1) == pytest.approx(0.1)
     assert epsilon_update(0.7, np.array([2.0, 0.0, 0.0]), 1) == 0.0
     assert epsilon_update(0.001, np.array([5.0, 1.5, 0.0]), 1) == 0.001
+
+
+def test_epsilon_update_matches_rearrangement():
+    rng = np.random.default_rng(11)
+    vectors = [
+        np.zeros(6),
+        np.array([0.0, -2.0, 2.0, 0.0, 1.0, -1.0]),
+        np.array([3.0, 3.0, 3.0, -3.0]),
+        np.array([-0.0, 0.0, 1e-300, -1e-300, 5.0]),
+    ]
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        # Few distinct magnitudes, so most draws hold ties and zeros.
+        vectors.append(rng.integers(-3, 4, size=n) * rng.choice([1.0, 0.5, 1e-9]))
+    for x in vectors:
+        n = x.size
+        for k in range(1, n):
+            assert epsilon_update(np.inf, x, k) == float(rearrangement(x)[k]) / n
 
 
 def test_default_sparsity_order():
