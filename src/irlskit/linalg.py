@@ -207,6 +207,13 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _floats(path, tokens) -> list[float]:
+    try:
+        return [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def write_matrix(path, a: np.ndarray) -> None:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     with open(path, "w", encoding="ascii") as fh:
@@ -218,7 +225,7 @@ def write_matrix(path, a: np.ndarray) -> None:
 def read_matrix(path) -> np.ndarray:
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
+        if len(header) != 2 or not all(tok.isdigit() for tok in header):
             raise ValueError(f"{path}: expected header 'm N'")
         m, n = (int(tok) for tok in header)
         rows = []
@@ -226,7 +233,7 @@ def read_matrix(path) -> np.ndarray:
             vals = fh.readline().split()
             if len(vals) != n:
                 raise ValueError(f"{path}: row {i} has {len(vals)} values, expected {n}")
-            rows.append([float(v) for v in vals])
+            rows.append(_floats(path, vals))
         if fh.read().strip():
             raise ValueError(f"{path}: unexpected content after {m} rows")
     return np.array(rows, dtype=float)
@@ -242,7 +249,7 @@ def write_vector(path, v: np.ndarray) -> None:
 def read_vector(path) -> np.ndarray:
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 1:
+        if len(header) != 1 or not header[0].isdigit():
             raise ValueError(f"{path}: expected header 'N'")
         n = int(header[0])
         vals = fh.readline().split()
@@ -250,7 +257,7 @@ def read_vector(path) -> np.ndarray:
             raise ValueError(f"{path}: got {len(vals)} values, expected {n}")
         if fh.read().strip():
             raise ValueError(f"{path}: unexpected content after the values")
-    return np.array([float(v) for v in vals])
+    return np.array(_floats(path, vals))
 
 
 def read_sensing_matrix(path) -> SensingMatrix:

@@ -5,9 +5,12 @@ property constants are exact for small null spaces (dimension <= 4): the
 worst mass ratio over the kernel is attained at a vertex of the polytope
 ``{c : ||Bc||_1 <= 1}``, and every vertex direction is the kernel of some
 (d-1)-subset of rows of the basis, so enumerating those subsets is an
-exact search.  Larger null spaces (or exponents tau < 1, where the ratio
-is no longer piecewise linear) get a documented Monte Carlo lower bound
-instead; honest reporting beats silent approximation.
+exact search.  Each subset's kernel direction is its generalized cross
+product, built in closed form; a rank-deficient subset defines no vertex
+and is skipped, so the search stays exact.  Larger null spaces (or
+exponents tau < 1, where the ratio is no longer piecewise linear) get a
+documented Monte Carlo lower bound instead; honest reporting beats silent
+approximation.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     InfeasibleError,
     IrlsKitError,
 )
-from .linalg import NullSpaceBasis, SensingMatrix, null_space_basis
+from .linalg import NullSpaceBasis, SensingMatrix, _as_float_array, null_space_basis
 
 EXACT_NSP_MAX_DIM = 4
 EXACT_NSP_MAX_COLS = 16
@@ -83,10 +86,12 @@ class PropertyReport:
 def _support_chunks(n: int, k: int, chunk: int = 512):
     it = itertools.combinations(range(n), k)
     while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
+        block = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(it, chunk)), dtype=int
+        )
+        if not block.size:
             return
-        yield np.array(block, dtype=int)
+        yield block.reshape(-1, k)
 
 
 def rip_constant(phi: SensingMatrix, order: int, budget: int = RIP_SUPPORT_BUDGET) -> PropertyReport:
@@ -134,19 +139,43 @@ def rip_to_nsp_bound(delta: float, j: int, j_prime: int) -> float:
 
 
 def _vertex_directions(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Candidate vertex directions of ``{c : ||rows @ c||_1 <= 1}``.
+    """Candidate vertex directions of ``{c : ||rows @ c||_1 <= 1}``, dim <= 4.
 
     Every vertex of the polytope lies in the kernel of some (dim-1)-subset
-    of the rows, so the kernels of all such subsets form a superset of the
-    vertex directions; all of them are feasible directions, so evaluating a
-    convex objective over them never overestimates its polytope maximum.
+    of the rows of full rank, so the kernels of all such subsets form a
+    superset of the vertex directions; all of them are feasible directions,
+    so evaluating a convex objective over them never overestimates its
+    polytope maximum.  A subset's kernel direction is its generalized cross
+    product (unnormalized): component j is (-1)^j times the minor without
+    column j.  A rank-deficient subset gives the zero vector (exactly, when
+    its first two rows are dependent) and exact zeros are dropped; any
+    rounding remainder is still a feasible direction.
     """
     if dim == 1:
         return np.ones((1, 1))
-    subs = list(itertools.combinations(range(rows.shape[0]), dim - 1))
-    sub_rows = rows[np.array(subs, dtype=int)]  # (n_sub, dim-1, dim)
-    _, _, vh = np.linalg.svd(sub_rows)
-    return vh[:, -1, :]  # last right singular vector: in the kernel
+    subs = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(rows.shape[0]), dim - 1)),
+        dtype=int,
+    ).reshape(-1, dim - 1)
+    r = [rows[subs[:, i]] for i in range(dim - 1)]  # dim-1 arrays of (n_sub, dim)
+    if dim == 2:
+        dirs = np.stack([r[0][:, 1], -r[0][:, 0]], axis=1)
+    elif dim == 3:
+        dirs = np.cross(r[0], r[1])
+    else:
+        a, b, c = r
+        p = {  # 2x2 minors of the first two rows on columns (i, j)
+            (i, j): a[:, i] * b[:, j] - a[:, j] * b[:, i]
+            for i, j in itertools.combinations(range(4), 2)
+        }
+        # third-row expansion of each 3x3 minor
+        dirs = np.stack([
+            c[:, 1] * p[2, 3] - c[:, 2] * p[1, 3] + c[:, 3] * p[1, 2],
+            -(c[:, 0] * p[2, 3] - c[:, 2] * p[0, 3] + c[:, 3] * p[0, 2]),
+            c[:, 0] * p[1, 3] - c[:, 1] * p[0, 3] + c[:, 3] * p[0, 1],
+            -(c[:, 0] * p[1, 2] - c[:, 1] * p[0, 2] + c[:, 2] * p[0, 1]),
+        ], axis=1)
+    return dirs[np.any(dirs != 0.0, axis=1)]
 
 
 def _exact_top_shares(basis: np.ndarray) -> np.ndarray:
@@ -185,7 +214,9 @@ def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, seed: int
     dirs = np.vstack([dirs, extremes, np.eye(dim)])
     best = 0.0
     for block in np.array_split(dirs, max(1, len(dirs) // 4096)):
-        a = np.abs(block @ basis.T) ** tau
+        a = np.abs(block @ basis.T)
+        if tau != 1.0:
+            a **= tau
         a.sort(axis=1)
         top = a[:, n - order :].sum(axis=1)
         rest = a[:, : n - order].sum(axis=1)
@@ -254,7 +285,9 @@ def sparse_oracle(
     lexicographically smallest support.  Support indices are zero-based.
     """
     m, n = phi.shape
-    y = np.asarray(y, dtype=float)
+    y = _as_float_array(y, "y")
+    if y.shape != (m,):
+        raise ValueError(f"y must have shape ({m},), got {y.shape}")
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     n_supports = math.comb(n, k)
@@ -279,11 +312,15 @@ def sparse_oracle(
                 [np.linalg.lstsq(s, y, rcond=None)[0] for s in sub]
             )
         res = np.linalg.norm(y[None, :] - np.einsum("bmk,bk->bm", sub, coef), axis=1)
-        for j in range(len(idx)):
-            if res[j] < best_res - tol:
-                best_res = float(res[j])
-                best_support = tuple(int(i) for i in idx[j])
-                best_coef = coef[j]
+        # the first strict improvement after the previous one, in support
+        # order: the sequential rule, ties included
+        j = 0
+        while (hits := np.flatnonzero(res[j:] < best_res - tol)).size:
+            j += int(hits[0])
+            best_res = float(res[j])
+            best_support = tuple(int(i) for i in idx[j])
+            best_coef = coef[j]
+            j += 1
     x = np.zeros(n)
     x[list(best_support)] = best_coef
     return best_support, x, best_res

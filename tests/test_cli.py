@@ -1,10 +1,13 @@
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irlskit.cli import build_parser, main
 from irlskit.linalg import write_matrix, write_vector
@@ -91,6 +94,48 @@ def test_oracle_sparse_and_l1(tiny_files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert np.allclose(doc["x"], [0.0, 0.0, 1.0], atol=1e-9)
     assert doc["l1_norm"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_oracle_rejects_nonfinite_rhs(tiny_files, capsys):
+    matrix, rhs = tiny_files
+    Path(rhs).write_text("2\n1 nan\n")
+    assert main(["oracle", "--matrix", matrix, "--rhs", rhs, "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "y must have finite entries" in captured.err
+
+
+_COMMANDS = {
+    "recover": ["recover", "--matrix", "{m}", "--rhs", "{y}", "--K", "1", "--out", "{out}"],
+    "check-rip": ["check", "--matrix", "{m}", "--rip", "1"],
+    "check-nsp": ["check", "--matrix", "{m}", "--nsp", "1"],
+    "oracle-k": ["oracle", "--matrix", "{m}", "--rhs", "{y}", "--k", "1"],
+    "oracle-l1": ["oracle", "--matrix", "{m}", "--rhs", "{y}", "--l1"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_COMMANDS)),
+    st.sampled_from(["matrix", "rhs"]),
+    st.sampled_from(["nan", "inf", "-inf"]),
+    st.integers(0, 5),
+)
+def test_nonfinite_inputs_exit_2(command, target, token, pos):
+    if command.startswith("check"):
+        target = "matrix"
+    entries = [[repr(float(v)) for v in row] for row in TINY]
+    rhs = ["1.0", "1.0"]
+    if target == "matrix":
+        entries[pos // 3][pos % 3] = token
+    else:
+        rhs[pos % 2] = token
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"m": f"{tmp}/phi.mat", "y": f"{tmp}/y.vec", "out": f"{tmp}/r.json"}
+        Path(paths["m"]).write_text("2 3\n" + "\n".join(" ".join(r) for r in entries) + "\n")
+        Path(paths["y"]).write_text("2\n" + " ".join(rhs) + "\n")
+        argv = [arg.format(**paths) for arg in _COMMANDS[command]]
+        assert main(argv) == 2
+        assert not Path(paths["out"]).exists()
 
 
 def test_oracle_agrees_with_recover(tiny_files, tmp_path, capsys):

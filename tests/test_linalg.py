@@ -1,3 +1,7 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +255,56 @@ def test_read_vector_rejects_trailing_lines(tmp_path):
     path.write_text("2\n1 1\n3 4\n")
     with pytest.raises(ValueError, match="extra.vec"):
         read_vector(path)
+
+
+_NONFINITE = ["nan", "inf", "-inf", "NaN", "Infinity"]
+
+
+@st.composite
+def _text_files(draw):
+    """A matrix or vector file as lines of text, with one defect or none."""
+    kind = draw(st.sampled_from(["matrix", "vector"]))
+    m = draw(st.integers(1, 4)) if kind == "matrix" else 1
+    n = draw(st.integers(1, 5))
+    vals = [
+        [draw(st.floats(-1e3, 1e3, allow_nan=False)) for _ in range(n)] for _ in range(m)
+    ]
+    rows = [[repr(v) for v in row] for row in vals]
+    defect = draw(st.sampled_from(["none", "short", "missing", "extra", "token", "nonfinite"]))
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    if defect == "short":
+        del rows[i][j]
+    elif defect == "missing":
+        del rows[i]
+    elif defect == "extra":
+        rows.append([repr(v) for v in vals[i]])
+    elif defect == "token":
+        rows[i][j] = draw(st.sampled_from(["x", "1,5", "0x1p3", "--1", "1e", "nanx"]))
+    elif defect == "nonfinite":
+        rows[i][j] = draw(st.sampled_from(_NONFINITE))
+        vals[i][j] = float(rows[i][j])
+    header = f"{m} {n}" if kind == "matrix" else f"{n}"
+    text = "\n".join([header] + [" ".join(row) for row in rows]) + "\n"
+    return kind, text, defect, np.array(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_text_files())
+def test_readers_reject_malformed_text(case):
+    # truncated, short, extra and non-numeric data raise ValueError naming
+    # the file; nan and inf tokens load as they are
+    kind, text, defect, expected = case
+    reader = read_matrix if kind == "matrix" else read_vector
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"in.{kind}"
+        path.write_text(text)
+        if defect in ("none", "nonfinite"):
+            got = reader(path)
+            want = expected if kind == "matrix" else expected[0]
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                reader(path)
 
 
 def test_read_sensing_matrix(tmp_path):

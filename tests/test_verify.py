@@ -1,7 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from irlskit import verify
 
 from irlskit import (
     BudgetExceededError,
@@ -18,7 +24,7 @@ from irlskit import (
     sigma_k,
     sparse_oracle,
 )
-from irlskit.verify import exact_nsp_profile
+from irlskit.verify import _support_chunks, _vertex_directions, exact_nsp_profile
 
 TINY = SensingMatrix([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
@@ -120,6 +126,83 @@ def test_nsp_gaussian_8x12_orders_three_and_up_uncertifiable():
             assert profile[order - 1] >= (order - 1) / (order + 1) - 1e-12
 
 
+# --- vertex directions ----------------------------------------------------------
+
+
+def _svd_vertex_directions(rows, dim):
+    """Reference: the kernel of each (dim-1)-row subset from a batched SVD."""
+    if dim == 1:
+        return np.ones((1, 1))
+    subs = list(itertools.combinations(range(rows.shape[0]), dim - 1))
+    sub_rows = rows[np.array(subs, dtype=int)]  # (n_sub, dim-1, dim)
+    _, _, vh = np.linalg.svd(sub_rows)
+    return vh[:, -1, :]  # last right singular vector: in the kernel
+
+
+@st.composite
+def _row_sets(draw):
+    d = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.integers(-1000, 1000), min_size=(d - 1) * d, max_size=(d - 1) * d))
+    scales = draw(st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1))
+    rows = np.array(entries, dtype=float).reshape(d - 1, d) / 1000.0
+    return rows * 10.0 ** np.array(scales, dtype=float)[:, None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_sets())
+def test_vertex_direction_property(rows):
+    # full rank d-1 rows: one direction, annihilated by the rows and parallel
+    # to the SVD's last right singular vector
+    d = rows.shape[1]
+    sv = np.linalg.svd(rows, compute_uv=False)
+    assume(sv.size == 0 or sv[-1] > 1e-3 * sv[0])
+    dirs = _vertex_directions(rows, d)
+    assert dirs.shape == (1, d)
+    v = dirs[0]
+    assert np.max(np.abs(rows @ v), initial=0.0) <= 1e-12 * np.linalg.norm(rows) * np.linalg.norm(v)
+    u = np.linalg.svd(rows)[2][-1]
+    v = v / np.linalg.norm(v)
+    assert np.linalg.norm(v - np.sign(v @ u) * u) <= 1e-11
+    if d >= 2:
+        # a duplicated first row (a zero row when there is only one) defines
+        # no vertex
+        dup = rows.copy()
+        dup[min(1, d - 2)] = dup[0] if d > 2 else 0.0
+        assert _vertex_directions(dup, d).shape == (0, d)
+
+
+def test_vertex_directions_skip_rank_deficient_subsets():
+    rng = np.random.default_rng(21)
+    rows = rng.normal(size=(6, 4))
+    rows[3] = rows[1]
+    dirs = _vertex_directions(rows, 4)
+    # subsets (1, 3, 4) and (1, 3, 5) vanish exactly and are dropped;
+    # (0, 1, 3) and (1, 2, 3) leave a rounding remainder
+    assert dirs.shape == (math.comb(6, 3) - 2, 4)
+    norms = np.sort(np.linalg.norm(dirs, axis=1))
+    assert norms[1] <= 1e-14 * norms[-1] and norms[2] > 1e-3 * norms[-1]
+
+
+def _nsp_instances():
+    rng = np.random.default_rng(22)
+    for m, n in ((8, 12), (6, 10), (9, 12)):
+        yield _gaussian(rng, m, n)
+    # a kernel basis with two equal rows
+    b = rng.normal(size=(12, 4))
+    b[7] = b[2]
+    yield SensingMatrix(scipy.linalg.null_space(b.T).T)
+
+
+@pytest.mark.parametrize("phi", list(_nsp_instances()), ids=["8x12", "6x10", "9x12", "equal-rows"])
+def test_exact_nsp_profile_matches_svd_reference(phi, monkeypatch):
+    basis = null_space_basis(phi).matrix
+    shares, profile = verify._exact_top_shares(basis), exact_nsp_profile(phi)
+    monkeypatch.setattr(verify, "_vertex_directions", _svd_vertex_directions)
+    ref_shares, ref_profile = verify._exact_top_shares(basis), exact_nsp_profile(phi)
+    assert np.max(np.abs(shares - ref_shares)) <= 1e-15
+    assert np.array_equal(np.isinf(profile), np.isinf(ref_profile))
+
+
 def test_nsp_monte_carlo_below_exact():
     rng = np.random.default_rng(4)
     for seed in range(8):
@@ -201,6 +284,57 @@ def test_sparse_oracle_matches_brute_force():
         )
         assert residual == pytest.approx(best, abs=1e-10)
         assert np.linalg.norm(phi.entries @ x - y) == pytest.approx(residual, abs=1e-10)
+
+
+def test_sparse_oracle_rejects_bad_rhs():
+    for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="y must"):
+            sparse_oracle(TINY, np.array(bad), 1)
+
+
+def _sparse_oracle_loop(phi, y, k):
+    """Reference: the per-support strict-improvement loop."""
+    n = phi.shape[1]
+    best_res, best_support, best_coef = math.inf, (), None
+    for idx in _support_chunks(n, k):
+        sub = np.moveaxis(phi.entries[:, idx], 1, 0)
+        coef = np.linalg.solve(sub.transpose(0, 2, 1) @ sub, np.einsum("bmk,m->bk", sub, y)[..., None])[..., 0]
+        res = np.linalg.norm(y[None, :] - np.einsum("bmk,bk->bm", sub, coef), axis=1)
+        for j in range(len(idx)):
+            if res[j] < best_res - 1e-10:
+                best_res, best_support, best_coef = float(res[j]), tuple(int(i) for i in idx[j]), coef[j]
+    x = np.zeros(n)
+    x[list(best_support)] = best_coef
+    return best_support, x, best_res
+
+
+def test_sparse_oracle_near_tie_chain_matches_loop():
+    # k = 1 with unit columns (cos t, sin t) and y = e1: support j has
+    # residual |sin t_j|.  Residuals fall by 0.6e-10 per support from 490
+    # to 539, across the 512-support chunk boundary, so under the 1e-10
+    # tie rule every second support improves; 560.. repeat earlier values.
+    n = 600
+    rng = np.random.default_rng(23)
+    r = 0.5 + 0.1 * rng.random(n)
+    r[100:140] = 0.4 - 0.6e-10 * np.arange(40)
+    r[490:540] = 0.3 - 0.6e-10 * np.arange(50)
+    r[560:600] = r[500:540]
+    t = np.arcsin(r)
+    phi = SensingMatrix(np.vstack([np.cos(t), np.sin(t)]))
+    y = np.array([1.0, 0.0])
+    support, x, residual = sparse_oracle(phi, y, 1)
+    ref_support, ref_x, ref_residual = _sparse_oracle_loop(phi, y, 1)
+    assert support == ref_support and 512 <= support[0] < 540
+    assert np.array_equal(x, ref_x) and residual == ref_residual
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (600, 1), (8, 3), (12, 4), (20, 3)])
+def test_support_chunks_follow_combinations_order(n, k):
+    blocks = list(_support_chunks(n, k))
+    assert [len(b) for b in blocks[:-1]] == [512] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= 512
+    assert all(b.shape[1] == k for b in blocks)
+    assert np.vstack(blocks).tolist() == [list(c) for c in itertools.combinations(range(n), k)]
 
 
 def test_sparse_oracle_budget():
