@@ -14,7 +14,6 @@ from .errors import (
     InfeasibleError,
     IrlsKitError,
     MissingReferenceError,
-    NotPositiveDefiniteError,
     RankDeficientError,
     SchemaMismatchError,
 )
@@ -32,7 +31,6 @@ from .linalg import (
     NullSpaceBasis,
     SensingMatrix,
     null_space_basis,
-    spd_solve,
     weighted_ls_solve,
 )
 from .solver import (
@@ -50,7 +48,7 @@ from .solver import (
     surrogate_value,
     theoretical_contraction_factor,
 )
-from .sparsity import rearrangement, sigma_k, sparsity_width
+from .sparsity import rearrangement, sigma_k
 from .verify import (
     MinimalityCheck,
     PropertyReport,
@@ -76,7 +74,6 @@ __all__ = [
     "IterationRecord",
     "MinimalityCheck",
     "MissingReferenceError",
-    "NotPositiveDefiniteError",
     "NullSpaceBasis",
     "PhaseTransitionTable",
     "PropertyReport",
@@ -106,8 +103,6 @@ __all__ = [
     "sigma_k",
     "smoothed_objective",
     "sparse_oracle",
-    "sparsity_width",
-    "spd_solve",
     "surrogate_value",
     "theoretical_contraction_factor",
     "weighted_ls_solve",

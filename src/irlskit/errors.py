@@ -27,12 +27,6 @@ class IllConditionedError(IrlsKitError):
     code = "IllConditioned"
 
 
-class NotPositiveDefiniteError(IrlsKitError):
-    """Symmetric factorization hit a non-positive pivot."""
-
-    code = "NotPositiveDefinite"
-
-
 class BudgetExceededError(IrlsKitError):
     """Support enumeration would exceed the configured budget."""
 

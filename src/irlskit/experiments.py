@@ -17,8 +17,9 @@ import csv
 import hashlib
 import json
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -165,12 +166,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """From a JSON object; ``ValueError`` names an unknown or mistyped key."""
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        hints, names = typing.get_type_hints(cls), {f.name: f.type for f in fields(cls)}
+        for key, value in doc.items():
+            if key not in hints:
+                raise ValueError(f"unknown config key {key!r}")
+            if not _json_fits(value, hints[key]):
+                raise ValueError(f"config key {key!r}: {value!r} is not {names[key]}")
         return cls(**doc)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="ascii") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type; a bool is no number, an int is a float."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+    if args:  # a union
+        return any(_json_fits(value, h) for h in args)
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def method_tag(tau: float) -> str:

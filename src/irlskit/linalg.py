@@ -2,7 +2,7 @@
 
 Provides the sensing-matrix type, orthonormal null-space bases, weighted
 least-squares solves on the affine solution set ``{z : Phi z = y}``, and
-plain symmetric-positive-definite solves.
+the plain-text matrix and vector readers.
 
 A note on the weighting convention: for a strictly positive weight vector
 ``w`` the unique minimizer of ``sum_j w_j z_j**2`` over the solution set is
@@ -22,11 +22,11 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve  # noqa: F401 -- perfbench traces these names
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
-from .errors import IllConditionedError, NotPositiveDefiniteError, RankDeficientError
+from .errors import IllConditionedError, RankDeficientError
 
 # Singular values below RANK_RTOL * sigma_max count as zero.
 RANK_RTOL = 1e-12
@@ -176,24 +176,6 @@ def weighted_ls_solve(phi: SensingMatrix, y: np.ndarray, w: np.ndarray) -> np.nd
         )
     v, _ = dpotrs(factor, y)
     return d * dgemv(1.0, phi.entries.T, v)
-
-
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a v = b`` for symmetric positive-definite ``a`` via Cholesky."""
-    a = _as_float_array(a, "a")
-    b = _as_float_array(b, "b")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("a must be square")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale > 0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
-        raise ValueError("a must be symmetric")
-    try:
-        factor = cho_factor(a, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            "factorization hit a non-positive pivot"
-        ) from exc
-    return cho_solve(factor, b)
 
 
 # --- plain-text matrix/vector round-trip format -----------------------------

@@ -37,10 +37,3 @@ def sigma_k(z: np.ndarray, k: int, tau: float = 1.0) -> float:
         return float(np.sum(tail))
     return float(np.sum(tail**tau))
 
-
-def sparsity_width(z: np.ndarray, threshold: float = 0.0) -> int:
-    """Smallest k such that the (k+1)-th largest magnitude is <= threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    z = np.asarray(z, dtype=float)
-    return int(np.count_nonzero(np.abs(z) > threshold))

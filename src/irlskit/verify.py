@@ -1,16 +1,22 @@
 """Ground-truth oracles and matrix-property checkers.
 
-RIP constants come from exhaustive support enumeration.  Null-space
-property constants are exact for small null spaces (dimension <= 4): the
-worst mass ratio over the kernel is attained at a vertex of the polytope
-``{c : ||Bc||_1 <= 1}``, and every vertex direction is the kernel of some
-(d-1)-subset of rows of the basis, so enumerating those subsets is an
-exact search.  Each subset's kernel direction is its generalized cross
-product, built in closed form; a rank-deficient subset defines no vertex
-and is skipped, so the search stays exact.  Larger null spaces (or
-exponents tau < 1, where the ratio is no longer piecewise linear) get a
-documented Monte Carlo lower bound instead; honest reporting beats silent
-approximation.
+RIP constants come from exhaustive support enumeration, each support's
+singular values from the eigenvalues of its k x k Gram.  An eigenvalue
+errs by about u sigma_max^2, so sigma_min errs by about
+u sigma_max^2/(2 sigma_min); supports with sigma_min < 1e-3 sigma_max
+get an SVD instead, which keeps delta within 1e-12 max(1, delta) of an
+all-SVD enumeration.  The l1 oracle's dual simplex runs without
+presolve, which removes nothing from the dense split-variable program
+yet costs more than the simplex itself.  Null-space property constants
+are exact for small null spaces (dimension <= 4): the worst mass ratio
+over the kernel is attained at a vertex of ``{c : ||Bc||_1 <= 1}``, and
+every vertex direction is the kernel of some (d-1)-subset of rows of
+the basis, so enumerating those subsets is an exact search.  Each
+subset's kernel direction is its generalized cross product, built in
+closed form; a rank-deficient subset defines no vertex and is skipped,
+so the search stays exact.  Larger null spaces (or exponents tau < 1,
+where the ratio is no longer piecewise linear) get a documented Monte
+Carlo lower bound instead; honest reporting beats silent approximation.
 """
 
 from __future__ import annotations
@@ -115,8 +121,12 @@ def rip_constant(phi: SensingMatrix, order: int, budget: int = RIP_SUPPORT_BUDGE
     delta = 0.0
     for idx in _support_chunks(n, order):
         sub = np.moveaxis(phi.entries[:, idx], 1, 0)  # (b, m, order)
-        sv = np.linalg.svd(sub, compute_uv=False)
-        delta = max(delta, float(np.max(sv[:, 0] - 1.0)), float(np.max(1.0 - sv[:, -1])))
+        lam = np.linalg.eigvalsh(sub.transpose(0, 2, 1) @ sub)  # ascending
+        sv = np.sqrt(np.maximum(lam, 0.0))
+        near = lam[:, 0] < 1e-6 * lam[:, -1]  # sigma_min < 1e-3 sigma_max
+        if np.any(near):
+            sv[near] = np.linalg.svd(sub[near], compute_uv=False)[:, ::-1]
+        delta = max(delta, float(np.max(sv[:, -1] - 1.0)), float(np.max(1.0 - sv[:, 0])))
     return PropertyReport(
         kind="RIP",
         order=order,
@@ -206,12 +216,17 @@ def exact_nsp_profile(phi: SensingMatrix) -> np.ndarray:
         return np.where(shares < 1.0, shares / (1.0 - shares), np.inf)
 
 
-def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, seed: int) -> float:
-    n, dim = basis.shape
+def _mc_directions(basis: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """Scan directions: ``samples`` Philox normals, normalised basis rows, identity."""
+    dim = basis.shape[1]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    dirs = rng.normal(size=(samples, dim))
     extremes = basis / np.maximum(np.linalg.norm(basis, axis=1, keepdims=True), 1e-300)
-    dirs = np.vstack([dirs, extremes, np.eye(dim)])
+    return np.vstack([rng.normal(size=(samples, dim)), extremes, np.eye(dim)])
+
+
+def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, seed: int) -> float:
+    n = basis.shape[0]
+    dirs = _mc_directions(basis, samples, seed)
     best = 0.0
     for block in np.array_split(dirs, max(1, len(dirs) // 4096)):
         a = np.abs(block @ basis.T)
@@ -308,9 +323,11 @@ def sparse_oracle(
         try:
             coef = np.linalg.solve(gram, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            coef = np.stack(
-                [np.linalg.lstsq(s, y, rcond=None)[0] for s in sub]
-            )
+            # sign 0 from slogdet (solve's LU) marks the exactly singular Grams
+            sing = np.linalg.slogdet(gram)[0] == 0
+            coef = np.empty_like(rhs)
+            coef[~sing] = np.linalg.solve(gram[~sing], rhs[~sing, :, None])[..., 0]
+            coef[sing] = [np.linalg.lstsq(s, y, rcond=None)[0] for s in sub[sing]]
         res = np.linalg.norm(y[None, :] - np.einsum("bmk,bk->bm", sub, coef), axis=1)
         # the first strict improvement after the previous one, in support
         # order: the sequential rule, ties included
@@ -343,7 +360,8 @@ def l1_oracle(phi: SensingMatrix, y: np.ndarray, full_output: bool = False):
     y = np.asarray(y, dtype=float)
     cost = np.ones(2 * n)
     a_eq = np.hstack([phi.entries, -phi.entries])
-    res = linprog(cost, A_eq=a_eq, b_eq=y, bounds=(0, None), method="highs-ds")
+    res = linprog(cost, A_eq=a_eq, b_eq=y, bounds=(0, None), method="highs-ds",
+                  options={"presolve": False})  # see the module docstring
     if res.status == 2:
         raise InfeasibleError("right-hand side outside the range of the matrix")
     if res.status != 0:
@@ -445,11 +463,7 @@ def l1_minimality_check(
         if val <= 1.0 + 1e-9:
             return MinimalityCheck("Certified")
         return MinimalityCheck("Violated", witness)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    dirs = rng.normal(size=(samples, dim))
-    extremes = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-300)
-    dirs = np.vstack([dirs, extremes, np.eye(dim)])
-    etas = dirs @ b.T
+    etas = _mc_directions(b, samples, seed) @ b.T
     lhs = np.abs(etas @ s)
     rhs = np.sum(np.abs(etas[:, ~support]), axis=1)
     bad = lhs > rhs * (1.0 + 1e-9) + 1e-12 * np.sum(np.abs(etas), axis=1)

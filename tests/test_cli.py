@@ -179,6 +179,18 @@ def test_trace_and_phase_commands(tmp_path, capsys):
     assert main(["plot", "--csv", str(phase_csv), "--kind", "phase", "--out", str(svg)]) == 0
 
 
+@pytest.mark.parametrize("command", ["trace", "phase"])
+@pytest.mark.parametrize("key,value", [("per_trial_matrix", "false"), ("trials", True)])
+def test_mistyped_config_exit_2(tmp_path, capsys, command, key, value):
+    # "false" is a truthy string and True counts as 1: both used to run
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 10, "N": 20, "k": 2, "max_iters": 150, key: value}))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_plot_trace_structure(tmp_path):
     csv = tmp_path / "t.csv"
     csv.write_text(

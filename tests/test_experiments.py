@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irlskit
 from irlskit import (
@@ -15,7 +18,6 @@ from irlskit import (
     run_phase_transition,
     run_trace,
     sigma_k,
-    sparsity_width,
 )
 from irlskit.errors import SchemaMismatchError
 from irlskit.experiments import (
@@ -56,9 +58,9 @@ def test_matrix_full_rank_at_experiment_scale():
 def test_sparse_vector_basics():
     assert np.array_equal(gen_sparse_vector(10, 0, seed=0), np.zeros(10))
     dense = gen_sparse_vector(10, 10, seed=1)
-    assert sparsity_width(dense) == 10
+    assert np.count_nonzero(np.abs(dense) > 0.0) == 10
     z = gen_sparse_vector(30, 4, seed=2)
-    assert sparsity_width(z) == 4
+    assert np.count_nonzero(np.abs(z) > 0.0) == 4
     assert np.array_equal(z, gen_sparse_vector(30, 4, seed=2))
 
 
@@ -66,7 +68,7 @@ def test_sparse_vector_gap_ratio():
     z = gen_sparse_vector(12, 3, seed=3, gap_ratio=10.0)
     r3 = rearrangement(z)[2]
     assert r3 / sigma_k(z, 3) == pytest.approx(10.0, rel=1e-12)
-    assert sparsity_width(z) == 12  # perturbation is fully supported
+    assert np.count_nonzero(np.abs(z) > 0.0) == 12  # perturbation is fully supported
     with pytest.raises(ValueError):
         gen_sparse_vector(12, 0, seed=3, gap_ratio=10.0)
     with pytest.raises(ValueError):
@@ -100,6 +102,63 @@ def test_config_validation_and_json(tmp_path):
     assert cfg.resolve_K(2) == 2
     assert ExperimentConfig(m=10, N=20, k=2, K_policy="Heuristic").resolve_K(2) >= 1
     assert ExperimentConfig(m=10, N=20, k=2, K_policy=4).resolve_K(2) == 4
+
+
+_NUMBER = (int, float)
+# the JSON values each config field takes; a bool is never a number
+_CONFIG_FITS = {
+    "m": lambda v: type(v) is int,
+    "N": lambda v: type(v) is int,
+    "k": lambda v: type(v) is int,
+    "tau_list": lambda v: type(v) is list and all(type(t) in _NUMBER for t in v),
+    "trials": lambda v: type(v) is int,
+    "master_seed": lambda v: type(v) is int,
+    "success_tol": lambda v: type(v) in _NUMBER,
+    "K_policy": lambda v: type(v) in (str, int),
+    "gap_ratio": lambda v: v is None or type(v) in _NUMBER,
+    "k_list": lambda v: v is None or (type(v) is list and all(type(t) is int for t in v)),
+    "warmstart_iters": lambda v: type(v) is int,
+    "max_iters": lambda v: type(v) is int,
+    "eps_floor": lambda v: type(v) in _NUMBER,
+    "step_tol": lambda v: type(v) in _NUMBER,
+    "per_trial_matrix": lambda v: type(v) is bool,
+}
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.floats(-2.0, 30.0), st.text(max_size=4),
+    st.sampled_from(["false", "true", "1", "Heuristic"]),
+)
+
+
+def test_config_fields_cover_every_key():
+    assert set(_CONFIG_FITS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_CONFIG_FITS)),
+    st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3)),
+)
+def test_config_json_types_checked_at_load(key, value):
+    doc = json.loads(json.dumps({"m": 10, "N": 20, "k": 2, key: value}))
+    value = doc[key]
+    if not _CONFIG_FITS[key](value):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ExperimentConfig.from_dict(doc)
+        return
+    # a well-typed value meets only the value checks of the constructor
+    try:
+        direct = ExperimentConfig(**doc)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(doc)
+        return
+    assert ExperimentConfig.from_dict(doc) == direct
+
+
+@given(st.text(min_size=1, max_size=8).filter(lambda s: s not in _CONFIG_FITS))
+def test_config_unknown_key_rejected(key):
+    with pytest.raises(ValueError, match="unknown config key"):
+        ExperimentConfig.from_dict({"m": 10, "N": 20, "k": 2, key: 1})
 
 
 @pytest.fixture(scope="module")

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from irlskit import (
     IllConditionedError,
-    NotPositiveDefiniteError,
     RankDeficientError,
     SensingMatrix,
     null_space_basis,
-    spd_solve,
     weighted_ls_solve,
 )
 from irlskit.linalg import read_matrix, read_sensing_matrix, read_vector, write_matrix, write_vector
@@ -183,32 +181,6 @@ def test_weighted_ls_ill_conditioned():
     w[0] = 1e-18  # one huge inverse weight makes the Gram matrix near rank one
     with pytest.raises(IllConditionedError):
         weighted_ls_solve(phi, rng.normal(size=4), w)
-
-
-def test_spd_solve_examples():
-    assert np.allclose(spd_solve(np.eye(2), [3.0, -1.0]), [3.0, -1.0])
-    assert np.allclose(spd_solve([[2.0, 0.0], [0.0, 8.0]], [2.0, 8.0]), [1.0, 1.0])
-    a = np.array([[4.0, 2.0], [2.0, 3.0]])
-    v = spd_solve(a, [10.0, 9.0])
-    assert np.allclose(v, [1.5, 2.0], atol=1e-12)
-    assert np.allclose(a @ v, [10.0, 9.0], atol=1e-12)
-
-
-def test_spd_solve_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        spd_solve([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0])
-
-
-def test_spd_solve_accuracy_random():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        m = rng.integers(2, 9)
-        g = rng.normal(size=(m, m))
-        a = g @ g.T + 0.1 * np.eye(m)
-        b = rng.normal(size=m)
-        v = spd_solve(a, b)
-        cond = np.linalg.cond(a)
-        assert np.linalg.norm(a @ v - b) <= 1e-10 * np.linalg.norm(b) * cond
 
 
 def test_matrix_roundtrip(tmp_path):

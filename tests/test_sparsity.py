@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irlskit import rearrangement, sigma_k, sparsity_width
+from irlskit import rearrangement, sigma_k
 
 
 def test_rearrangement_examples():
@@ -97,10 +97,3 @@ def test_quasi_norm_embedding():
         q2 = np.sum(np.abs(u) ** t2) ** (1.0 / t2)
         assert q2 <= q1 * (1 + 1e-12)
 
-
-def test_sparsity_width_examples():
-    assert sparsity_width([3.0, 0.0, 0.5, 0.0]) == 2
-    assert sparsity_width(np.zeros(5)) == 0
-    assert sparsity_width([1.0, 1e-12, 0.0], threshold=1e-10) == 1
-    with pytest.raises(ValueError):
-        sparsity_width([1.0], threshold=-1.0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from irlskit import (
     BudgetExceededError,
     DimensionTooLargeError,
     IrlsConfig,
+    RankDeficientError,
     SensingMatrix,
     irls_run,
     l1_minimality_check,
@@ -70,6 +72,71 @@ def test_rip_budget():
     phi = _gaussian(rng, 6, 12)
     with pytest.raises(BudgetExceededError):
         rip_constant(phi, 3, budget=10)
+
+
+def _rip_svd_reference(phi, order):
+    """Reference: the former body of ``rip_constant``, one batched SVD per chunk."""
+    delta = 0.0
+    for idx in _support_chunks(phi.shape[1], order):
+        sv = np.linalg.svd(np.moveaxis(phi.entries[:, idx], 1, 0), compute_uv=False)
+        delta = max(delta, float(np.max(sv[:, 0] - 1.0)), float(np.max(1.0 - sv[:, -1])))
+    return delta
+
+
+def _rip_unguarded_eigenvalues(phi, order):
+    """Gram eigenvalues for every support, near-singular ones included."""
+    delta = 0.0
+    for idx in _support_chunks(phi.shape[1], order):
+        sub = np.moveaxis(phi.entries[:, idx], 1, 0)
+        sv = np.sqrt(np.maximum(np.linalg.eigvalsh(sub.transpose(0, 2, 1) @ sub), 0.0))
+        delta = max(delta, float(np.max(sv[:, -1] - 1.0)), float(np.max(1.0 - sv[:, 0])))
+    return delta
+
+
+@st.composite
+def _rip_instances(draw):
+    """Gaussian m x n (n <= 24) with up to three duplicated, near-dependent,
+    scaled-copy or rescaled columns, and an order in 1..4."""
+    m = draw(st.integers(2, 16))
+    n = draw(st.integers(m + 1, 24))
+    order = draw(st.integers(1, min(4, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edit = draw(st.sampled_from(["duplicate", "near", "scaled", "rescale"]))
+        if edit == "duplicate":
+            p[:, j] = p[:, i]
+        elif edit == "near":
+            p[:, j] = p[:, i] + draw(st.sampled_from([1e-5, 1e-3, 3e-3, 1e-2])) * rng.normal(size=m)
+        elif edit == "scaled":
+            p[:, j] = p[:, i] * (1.0 + 1e-9)
+        else:
+            p[:, j] *= 10.0 ** draw(st.integers(-3, 3))
+    try:
+        return SensingMatrix(p), order
+    except RankDeficientError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rip_instances())
+def test_rip_matches_svd_reference(instance):
+    phi, order = instance
+    ref = _rip_svd_reference(phi, order)
+    assert abs(rip_constant(phi, order).constant - ref) <= 1e-12 * max(1.0, ref)
+
+
+def test_rip_svd_guard_catches_parallel_columns():
+    # columns 0 and 1 are parallel, so sigma_min = 0 on their pair; from
+    # the Gram eigenvalue alone it comes out near sqrt(u) instead
+    rng = np.random.default_rng(6)
+    p = rng.normal(size=(6, 8)) / np.sqrt(6)
+    p[:, 1] = p[:, 0] * (1.0 + 1e-9)
+    phi = SensingMatrix(p)
+    ref = _rip_svd_reference(phi, 2)
+    assert abs(_rip_unguarded_eigenvalues(phi, 2) - ref) > 1e-9
+    assert abs(rip_constant(phi, 2).constant - ref) <= 1e-12 * max(1.0, ref)
 
 
 def test_rip_to_nsp_bound_examples():
@@ -298,7 +365,10 @@ def _sparse_oracle_loop(phi, y, k):
     best_res, best_support, best_coef = math.inf, (), None
     for idx in _support_chunks(n, k):
         sub = np.moveaxis(phi.entries[:, idx], 1, 0)
-        coef = np.linalg.solve(sub.transpose(0, 2, 1) @ sub, np.einsum("bmk,m->bk", sub, y)[..., None])[..., 0]
+        try:
+            coef = np.linalg.solve(sub.transpose(0, 2, 1) @ sub, np.einsum("bmk,m->bk", sub, y)[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # a singular Gram: the whole chunk by lstsq
+            coef = np.stack([np.linalg.lstsq(s, y, rcond=None)[0] for s in sub])
         res = np.linalg.norm(y[None, :] - np.einsum("bmk,bk->bm", sub, coef), axis=1)
         for j in range(len(idx)):
             if res[j] < best_res - 1e-10:
@@ -326,6 +396,22 @@ def test_sparse_oracle_near_tie_chain_matches_loop():
     ref_support, ref_x, ref_residual = _sparse_oracle_loop(phi, y, 1)
     assert support == ref_support and 512 <= support[0] < 540
     assert np.array_equal(x, ref_x) and residual == ref_residual
+
+
+def test_sparse_oracle_singular_grams_match_loop():
+    rng = np.random.default_rng(31)
+    p = rng.normal(0.0, 0.25, size=(16, 32))
+    p[:, 7] = p[:, 3]
+    phi = SensingMatrix(p)
+    sub = np.moveaxis(p[:, next(_support_chunks(32, 3))], 1, 0)
+    with pytest.raises(np.linalg.LinAlgError):  # the first chunk holds (0, 3, 7)
+        np.linalg.solve(sub.transpose(0, 2, 1) @ sub, np.ones((len(sub), 3, 1)))
+    for y in (p[:, [1, 9, 20]] @ [1.0, -2.0, 0.5], rng.normal(size=16)):
+        support, x, residual = sparse_oracle(phi, y, 3)
+        ref_support, ref_x, ref_residual = _sparse_oracle_loop(phi, y, 3)
+        assert support == ref_support
+        assert np.max(np.abs(x - ref_x)) <= 1e-12
+        assert abs(residual - ref_residual) <= 1e-12
 
 
 @pytest.mark.parametrize("n,k", [(5, 1), (600, 1), (8, 3), (12, 4), (20, 3)])
@@ -372,6 +458,40 @@ def test_l1_oracle_beats_dense_candidates():
         for _ in range(50):
             z = x + basis.matrix @ rng.normal(size=basis.dim)
             assert np.sum(np.abs(x)) <= np.sum(np.abs(z)) + 1e-9
+
+
+def _l1_presolve_reference(phi, y):
+    """Reference: the oracle's program through ``linprog`` with HiGHS presolve on."""
+    n = phi.shape[1]
+    res = scipy.optimize.linprog(
+        np.ones(2 * n), A_eq=np.hstack([phi.entries, -phi.entries]), b_eq=y,
+        bounds=(0, None), method="highs-ds",
+    )
+    return res.x[:n] - res.x[n:], res.fun
+
+
+@pytest.mark.parametrize("m,n", [(8, 12), (20, 60), (50, 250)])
+def test_l1_oracle_matches_presolve_reference(m, n):
+    rng = np.random.default_rng(m)
+    for trial in range(4):
+        phi = _gaussian(rng, m, n)
+        planted = np.zeros(n)
+        planted[rng.choice(n, max(1, m // 8), replace=False)] = rng.normal(size=max(1, m // 8))
+        y = phi.entries @ planted if trial % 2 else rng.normal(size=m)
+        ref_x, _ = _l1_presolve_reference(phi, y)
+        assert np.array_equal(l1_oracle(phi, y), ref_x)
+
+
+def test_l1_oracle_duplicated_column_matches_presolve_objective():
+    rng = np.random.default_rng(41)
+    p = rng.normal(0.0, 1.0 / np.sqrt(20), size=(20, 60))
+    p[:, 7] = p[:, 3]
+    phi = SensingMatrix(p)
+    for y in (p[:, [3, 10, 20]] @ [1.0, -0.5, 2.0], rng.normal(size=20)):
+        x, details = l1_oracle(phi, y, full_output=True)
+        _, ref_objective = _l1_presolve_reference(phi, y)
+        assert details["objective"] == pytest.approx(ref_objective, rel=1e-10)
+        assert np.linalg.norm(p @ x - y) <= 1e-9 * np.linalg.norm(y)
 
 
 # --- l1 minimality certificates -------------------------------------------------
