@@ -35,13 +35,11 @@ from .linalg import (
 )
 from .solver import (
     IrlsConfig,
-    IterateState,
     IterationRecord,
     RecoveryResult,
     default_sparsity_order,
     epsilon_update,
     irls_run,
-    irls_step,
     optimal_weights,
     rate_diagnostics,
     smoothed_objective,
@@ -70,7 +68,6 @@ __all__ = [
     "InfeasibleError",
     "IrlsConfig",
     "IrlsKitError",
-    "IterateState",
     "IterationRecord",
     "MinimalityCheck",
     "MissingReferenceError",
@@ -88,7 +85,6 @@ __all__ = [
     "gen_gaussian_matrix",
     "gen_sparse_vector",
     "irls_run",
-    "irls_step",
     "l1_minimality_check",
     "l1_oracle",
     "nsp_constant",

@@ -122,7 +122,8 @@ class ExperimentConfig:
     transitions sweep ``k_list`` (defaulting to ``[k]``).  ``K_policy``
     selects the solver's sparsity order per trial: "EqualsPlantedK",
     "Heuristic", or an explicit integer.  ``warmstart_iters`` applies to
-    the hybrid (tau < 1) methods in ``tau_list``.
+    the hybrid (tau < 1) methods in ``tau_list``.  A field whose value
+    does not fit its type (see ``_json_fits``) raises ``ValueError``.
     """
 
     m: int
@@ -142,6 +143,10 @@ class ExperimentConfig:
     per_trial_matrix: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _json_fits(value, _CONFIG_TYPES[f.name]):
+                raise ValueError(f"config key {f.name!r}: {value!r} is not {f.type}")
         if not 0 <= self.k <= self.m < self.N:
             raise ValueError(f"need k <= m < N, got k={self.k}, m={self.m}, N={self.N}")
         if self.trials < 1:
@@ -169,18 +174,18 @@ class ExperimentConfig:
         """From a JSON object; ``ValueError`` names an unknown or mistyped key."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
-        hints, names = typing.get_type_hints(cls), {f.name: f.type for f in fields(cls)}
-        for key, value in doc.items():
-            if key not in hints:
+        for key in doc:
+            if key not in _CONFIG_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            if not _json_fits(value, hints[key]):
-                raise ValueError(f"config key {key!r}: {value!r} is not {names[key]}")
         return cls(**doc)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="ascii") as fh:
             return cls.from_dict(json.load(fh))
+
+
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _json_fits(value, hint) -> bool:

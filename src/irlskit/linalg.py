@@ -22,7 +22,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve  # noqa: F401 -- perfbench traces these names
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 

@@ -12,6 +12,9 @@ with w_0 = (1, ..., 1) and eps_0 = 1.  For ``tau = 1`` the iteration
 targets the minimum-l1 solution; for ``tau < 1`` it targets the
 (non-convex) minimum sum-of-tau-powers solution, optionally after a
 warm-start phase run at ``tau = 1``.
+
+:func:`irls_run` is the one loop: it holds x, w, eps and n as locals,
+resolves K once per run and calls the step functions defined here.
 """
 
 from __future__ import annotations
@@ -93,21 +96,6 @@ class IrlsConfig:
         if not 1 <= k < n:
             raise ValueError(f"K must satisfy 1 <= K < N, got K={k}, N={n}")
         return k
-
-
-@dataclass(frozen=True)
-class IterateState:
-    """One iterate: solution, weights, smoothing parameter, counters.
-
-    ``weights`` is None only for a terminal state with ``eps == 0`` (the
-    weight update is undefined there and the iteration has stopped).
-    """
-
-    x: np.ndarray
-    weights: np.ndarray | None
-    eps: float
-    n: int
-    tau_effective: float
 
 
 @dataclass(frozen=True)
@@ -201,42 +189,17 @@ def epsilon_update(eps_prev: float, x_next: np.ndarray, k_order: int) -> float:
     return min(eps_prev, float(np.partition(np.abs(x_next), kth)[kth]) / n)
 
 
-def initial_state(n_cols: int, cfg: IrlsConfig) -> IterateState:
-    """State before the first solve: zero iterate, unit weights, eps = 1."""
-    tau_eff = 1.0 if (cfg.warmstart > 0 or cfg.tau == 1.0) else cfg.tau
-    return IterateState(
-        x=np.zeros(n_cols), weights=np.ones(n_cols), eps=1.0, n=0, tau_effective=tau_eff
-    )
-
-
-def irls_step(
-    phi: SensingMatrix, y: np.ndarray, state: IterateState, cfg: IrlsConfig
-) -> IterateState:
-    """One full iteration: solve, eps update, weight update.
-
-    The returned state's weights are None when the new eps is exactly zero
-    (the iterate is K-sparse and the iteration stops).  Propagates
-    :class:`IllConditionedError` from the inner solve.
-    """
-    if state.weights is None or state.eps <= 0:
-        raise ValueError("cannot step from a terminal state")
-    k_order = cfg.resolve_K(phi)
-    x_next = weighted_ls_solve(phi, y, state.weights)
-    eps_next = epsilon_update(state.eps, x_next, k_order)
-    n_next = state.n + 1
-    tau_eff = 1.0 if n_next < cfg.warmstart else cfg.tau
-    w_next = optimal_weights(x_next, eps_next, tau_eff) if eps_next > 0 else None
-    return IterateState(x=x_next, weights=w_next, eps=eps_next, n=n_next, tau_effective=tau_eff)
-
-
 def irls_run(
     phi: SensingMatrix,
     y: np.ndarray,
     cfg: IrlsConfig,
     x_ref: np.ndarray | None = None,
-    keep_iterates: bool | None = None,
+    keep_iterates: bool = False,
 ) -> RecoveryResult:
     """Run the iteration from unit weights and eps = 1 until termination.
+
+    Each pass solves, shrinks eps and, if the run goes on, re-weights with
+    exponent 1 during the warm start and ``cfg.tau`` after it.
 
     Stops on: eps exactly zero (ExactSparseStop); eps at or below
     ``cfg.eps_floor`` (EpsHitFloor); relative l1 step at or below
@@ -244,41 +207,33 @@ def irls_run(
     (MaxIters).  An ill-conditioned inner solve terminates the run with
     reason IllConditioned; the result up to that point is still returned.
 
-    When ``x_ref`` is given, per-iteration l1 reference errors are recorded
-    and the iterate history is retained (unless ``keep_iterates=False``).
+    The iterate history is retained when ``keep_iterates`` is set or
+    ``x_ref`` is given; with ``x_ref`` the per-iteration l1 reference
+    errors are recorded as well.
     """
     y = np.asarray(y, dtype=float)
     k_order = cfg.resolve_K(phi)
-    if keep_iterates is None:
-        keep_iterates = x_ref is not None
-    state = initial_state(phi.cols, cfg)
+    x, w, eps, n = np.zeros(phi.cols), np.ones(phi.cols), 1.0, 0
     trace: list[IterationRecord] = []
-    iterates: list[np.ndarray] | None = [] if keep_iterates else None
+    iterates: list[np.ndarray] | None = [] if keep_iterates or x_ref is not None else None
     a_bound = math.nan
-    termination = None
     while True:
         try:
-            new_state = irls_step(phi, y, state, cfg)
+            x_next = weighted_ls_solve(phi, y, w)
         except IllConditionedError:
             termination = "IllConditioned"
             break
-        x, eps, n = new_state.x, new_state.eps, new_state.n
+        n += 1
+        tau_n = 1.0 if n < cfg.warmstart else cfg.tau
         if n == 1:
-            a_bound = surrogate_value(x, np.ones(phi.cols), 1.0, new_state.tau_effective)
-        step_l1 = float(np.sum(np.abs(x - state.x)))
+            a_bound = surrogate_value(x_next, w, eps, tau_n)
+        eps = epsilon_update(eps, x_next, k_order)
+        step_l1 = float(np.sum(np.abs(x_next - x)))
+        x = x_next
         ref_err = float(np.sum(np.abs(x - x_ref))) if x_ref is not None else None
-        trace.append(
-            IterationRecord(
-                n=n,
-                surrogate=smoothed_objective(x, eps, new_state.tau_effective),
-                eps=eps,
-                step_l1=step_l1,
-                ref_error_l1=ref_err,
-            )
-        )
+        trace.append(IterationRecord(n, smoothed_objective(x, eps, tau_n), eps, step_l1, ref_err))
         if iterates is not None:
             iterates.append(x)
-        state = new_state
         if eps == 0.0:
             termination = "ExactSparseStop"
             break
@@ -291,8 +246,9 @@ def irls_run(
         if n >= cfg.max_iters:
             termination = "MaxIters"
             break
+        w = optimal_weights(x, eps, tau_n)
     return RecoveryResult(
-        x_final=state.x,
+        x_final=x,
         termination=termination,
         trace=trace,
         a_bound=a_bound,
@@ -311,31 +267,23 @@ def rate_diagnostics(
     ``(n, E_{n+1}/E_n, E_{n+1}/E_n**(2-tau))`` tuples; entries whose E_n is
     below ``1e3 * machine_eps * sum |ref_i|**tau`` are omitted.
 
-    For ``tau = 1`` the recorded trace errors suffice; otherwise the run
-    must have retained its iterates.
+    The run must have retained its iterates: :func:`irls_run` keeps them
+    when given ``x_ref`` or ``keep_iterates=True``.
     """
     if not 0 < tau <= 1:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
+    if result.iterates is None:
+        raise MissingReferenceError("need a run that retained its iterates")
     x_ref = np.asarray(x_ref, dtype=float)
-    if result.iterates is not None:
-        errors = [float(np.sum(np.abs(x - x_ref) ** tau)) for x in result.iterates]
-    elif tau == 1.0 and result.trace and result.trace[0].ref_error_l1 is not None:
-        errors = [rec.ref_error_l1 for rec in result.trace]
-        if any(e is None for e in errors):
-            raise MissingReferenceError("trace is missing reference errors")
-    else:
-        raise MissingReferenceError(
-            "need a run with reference errors (tau = 1) or retained iterates"
-        )
+    errors = [float(np.sum(np.abs(x - x_ref) ** tau)) for x in result.iterates]
     floor = 1e3 * np.finfo(float).eps * float(np.sum(np.abs(x_ref) ** tau))
     out = []
-    ns = [rec.n for rec in result.trace]
     for i in range(len(errors) - 1):
         if errors[i] <= floor:
             continue
         lin = errors[i + 1] / errors[i]
         sup = errors[i + 1] / errors[i] ** (2.0 - tau)
-        out.append((ns[i], float(lin), float(sup)))
+        out.append((result.trace[i].n, float(lin), float(sup)))
     return out
 
 

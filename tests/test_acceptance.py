@@ -345,10 +345,7 @@ def test_acceptance_8_phase_transition():
         warmstart_iters=40,
         max_iters=500,
     )
-    # Serial: the table does not depend on the worker count (see
-    # tests/test_experiments.py), and until pool workers pin BLAS to one
-    # thread the pool runs several times slower than one process.
-    table = run_phase_transition(cfg, n_workers=1)
+    table = run_phase_transition(cfg)
     r1 = {k: table.rows[(k, "tau1")].success_rate for k in cfg.k_list}
     rh = {k: table.rows[(k, "hybrid-tau0.5")].success_rate for k in cfg.k_list}
     dominance = True

@@ -267,6 +267,19 @@ def test_budget_error_exit_code(tmp_path, capsys):
     assert code == 1
     assert "BudgetExceeded" in captured.err
 
+    code = main(["check", "--matrix", str(matrix), "--nsp", "1", "--method", "exact"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "DimensionTooLarge" in captured.err
+
+    entries = rng.normal(size=(6, 40))
+    entries[1] = entries[0]
+    write_matrix(matrix, entries)
+    code = main(["recover", "--matrix", str(matrix), "--rhs", str(rhs)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "RankDeficient" in captured.err
+
 
 def test_help_golden_files(capsys):
     parser = build_parser()

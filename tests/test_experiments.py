@@ -94,6 +94,9 @@ def test_config_validation_and_json(tmp_path):
         ExperimentConfig(m=10, N=5, k=1)
     with pytest.raises(ValueError):
         ExperimentConfig(m=10, N=20, k=1, K_policy="Bogus")
+    for key, value in (("trials", True), ("per_trial_matrix", "false")):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            ExperimentConfig(m=10, N=20, k=2, **{key: value})
     cfg = ExperimentConfig(m=10, N=20, k=2, tau_list=[1.0, 0.5], trials=3, master_seed=9)
     path = tmp_path / "cfg.json"
     path.write_text(__import__("json").dumps(cfg.to_dict()))

@@ -4,8 +4,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+import irlskit
 from irlskit import (
-    IllConditionedError,
     IrlsConfig,
     MissingReferenceError,
     RecoveryResult,
@@ -13,7 +13,6 @@ from irlskit import (
     default_sparsity_order,
     epsilon_update,
     irls_run,
-    irls_step,
     optimal_weights,
     rate_diagnostics,
     rearrangement,
@@ -23,12 +22,19 @@ from irlskit import (
 )
 from irlskit.solver import (
     IterationRecord,
-    initial_state,
     load_result,
     result_schema,
     result_to_dict,
     save_result,
 )
+
+
+def test_public_names_resolve():
+    names = irlskit.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(irlskit, name), name
 
 
 def _random_instance(rng, m, n, k):
@@ -130,27 +136,29 @@ def test_config_validation():
     assert IrlsConfig(tau=0.5, warmstart_iters=3).warmstart == 3
 
 
-def test_irls_step_hand_computation():
+def test_irls_run_first_iteration_hand_computation():
     # Phi = [1 1], y = 2: the first iterate is (1, 1); with K = 1, N = 2 the
     # smoothing parameter drops to 1/2 and both weights become (5/4)^(-1/2).
     phi = SensingMatrix([[1.0, 1.0]])
-    cfg = IrlsConfig(K=1)
-    state = irls_step(phi, np.array([2.0]), initial_state(2, cfg), cfg)
-    assert np.allclose(state.x, [1.0, 1.0], atol=1e-12)
-    assert state.eps == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(state.weights, (1.0 + 0.25) ** -0.5, atol=1e-12)
-    assert state.n == 1
+    result = irls_run(phi, np.array([2.0]), IrlsConfig(K=1, max_iters=1))
+    assert result.termination == "MaxIters"
+    assert result.iterations == 1
+    assert np.allclose(result.x_final, [1.0, 1.0], atol=1e-12)
+    assert result.trace[0].eps == pytest.approx(0.5, abs=1e-12)
+    # surrogate at (x_1, w = 1, eps = 1): (1/2) (2 + 2 + 2)
+    assert result.a_bound == pytest.approx(3.0, abs=1e-12)
+    w_next = optimal_weights(result.x_final, result.trace[0].eps)
+    assert np.allclose(w_next, (1.0 + 0.25) ** -0.5, atol=1e-12)
 
 
-def test_irls_step_sparse_iterate_stops():
+def test_irls_run_sparse_first_iterate_stops():
     # min-l2 solution already 1-sparse: eps drops to exactly zero
     phi = SensingMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    cfg = IrlsConfig(K=1)
-    state = irls_step(phi, np.array([1.0, 0.0]), initial_state(3, cfg), cfg)
-    assert state.eps == 0.0
-    assert state.weights is None
-    with pytest.raises(ValueError):
-        irls_step(phi, np.array([1.0, 0.0]), state, cfg)
+    result = irls_run(phi, np.array([1.0, 0.0]), IrlsConfig(K=1))
+    assert result.termination == "ExactSparseStop"
+    assert result.iterations == 1
+    assert result.trace[0].eps == 0.0
+    assert np.allclose(result.x_final, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_irls_run_symmetric_instance():
@@ -203,22 +211,18 @@ def test_irls_run_eps_monotone_and_warmstart_switch():
     rng = np.random.default_rng(12)
     phi, x_star, y = _random_instance(rng, 10, 30, 3)
     cfg = IrlsConfig(K=3, tau=0.5, warmstart_iters=5, max_iters=60)
-    state = initial_state(30, cfg)
-    taus = [state.tau_effective]
-    eps_values = [state.eps]
-    for _ in range(30):
-        try:
-            state = irls_step(phi, y, state, cfg)
-        except IllConditionedError:
-            break  # superlinear eps collapse; irls_run records this as termination
-        taus.append(state.tau_effective)
-        eps_values.append(state.eps)
-        if state.weights is None or state.eps <= cfg.eps_floor:
-            break
+    result = irls_run(phi, y, cfg, keep_iterates=True)
+    # the recorded surrogate is the smoothed objective at the exponent that
+    # iteration re-weights with, so that exponent can be read back from it
+    taus = []
+    for rec, x in zip(result.trace, result.iterates):
+        (tau,) = [t for t in (1.0, 0.5) if rec.surrogate == smoothed_objective(x, rec.eps, t)]
+        taus.append(tau)
+    eps_values = [1.0] + [rec.eps for rec in result.trace]
     assert all(b <= a for a, b in zip(eps_values, eps_values[1:]))
     switches = sum(1 for a, b in zip(taus, taus[1:]) if a != b)
     assert switches <= 1
-    assert taus[1] == 1.0 and taus[-1] == 0.5
+    assert taus[0] == 1.0 and taus[-1] == 0.5
 
 
 def test_irls_run_hybrid_segment_monotonicity():
