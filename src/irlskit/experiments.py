@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache, partial
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from .errors import SchemaMismatchError
 from .linalg import SensingMatrix, _fmt
@@ -256,7 +257,8 @@ def rerun_trial(cfg: ExperimentConfig, k: int, tau: float, trial_index: int) -> 
     phi = _cached_matrix(cfg.m, cfg.N, derive_seed(cfg.master_seed, *matrix_key))
     vector_seed = derive_seed(cfg.master_seed, "trial", k, tag, trial_index)
     planted = gen_sparse_vector(cfg.N, k, vector_seed)
-    result = irls_run(phi, phi.entries @ planted, _solver_config(cfg, tau, cfg.resolve_K(k)))
+    y = dgemv(1.0, phi.entries.T, planted, trans=1)
+    result = irls_run(phi, y, _solver_config(cfg, tau, cfg.resolve_K(k)))
     err = float(np.sum(np.abs(result.x_final - planted)))
     norm = float(np.sum(np.abs(planted)))
     if norm > 0:
@@ -342,7 +344,8 @@ def run_trace(
     solver_cfg = _solver_config(cfg, tau, cfg.resolve_K(cfg.k))
     if warmstart is not None:
         solver_cfg = replace(solver_cfg, warmstart_iters=warmstart)
-    result = irls_run(phi, phi.entries @ planted, solver_cfg, x_ref=planted)
+    y = dgemv(1.0, phi.entries.T, planted, trans=1)
+    result = irls_run(phi, y, solver_cfg, x_ref=planted)
     diagnostics = rate_diagnostics(result, planted, tau) if result.trace else []
     study = TraceStudy(
         result=result,

@@ -22,6 +22,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh, svdvals
 from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
@@ -45,8 +46,10 @@ class SensingMatrix:
     """Dense m-by-N measurement matrix with m < N and full row rank.
 
     Construction validates the shape, finiteness, and numerical row rank
-    (rank-revealing SVD; singular values below ``RANK_RTOL * sigma_max``
-    are treated as zero).  The entry array is frozen after construction.
+    (singular values below ``RANK_RTOL * sigma_max`` count as zero).  Gram
+    eigenvalues certify rank m when ``sigma_min >= 1e-3 sigma_max``; any
+    other matrix gets the SVD rule.  Both run on scipy's LAPACK, so numpy's
+    BLAS pool stays idle.  The entry array is frozen after construction.
     """
 
     entries: np.ndarray
@@ -56,11 +59,19 @@ class SensingMatrix:
         if arr.ndim != 2:
             raise ValueError("entries must be a 2-d array")
         m, n = arr.shape
-        if not m < n:
-            raise ValueError(f"need m < N, got shape {arr.shape}")
+        if not 0 < m < n:
+            raise ValueError(f"need 0 < m < N, got shape {arr.shape}")
         arr = np.ascontiguousarray(arr)
-        sv = np.linalg.svd(arr, compute_uv=False)
-        rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
+        try:  # a Gram that overflowed raises ValueError
+            lam = eigvalsh(dsyrk(1.0, arr.T, trans=1), lower=False)
+        except ValueError:
+            lam = np.zeros(1)
+        rank = m
+        # Rounding is about u m lam_max, far below 1e-6 lam_max once lam_max
+        # is normal, so this passes no matrix that the SVD rule rejects.
+        if not (lam[-1] >= np.finfo(float).tiny and lam[0] >= 1e-6 * lam[-1]):
+            sv = svdvals(arr, check_finite=False)
+            rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
         if rank < m:
             raise RankDeficientError(
                 f"numerical row rank {rank} < m = {m} (rank tolerance {RANK_RTOL:g})"

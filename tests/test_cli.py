@@ -2,6 +2,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -256,7 +257,7 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "error:" in captured.err
 
 
-def test_budget_error_exit_code(tmp_path, capsys):
+def test_budget_error_exit_code(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(0)
     matrix = tmp_path / "m.mat"
     write_matrix(matrix, rng.normal(size=(6, 40)))
@@ -271,6 +272,16 @@ def test_budget_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "DimensionTooLarge" in captured.err
+
+    # Full row rank puts every y in the range, so real input never makes the
+    # LP infeasible; a stub solver reporting status 2 stands in for it.
+    monkeypatch.setattr(
+        "irlskit.verify.linprog", lambda *args, **kwargs: SimpleNamespace(status=2)
+    )
+    code = main(["oracle", "--matrix", str(matrix), "--rhs", str(rhs), "--l1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Infeasible" in captured.err
 
     entries = rng.normal(size=(6, 40))
     entries[1] = entries[0]

@@ -273,19 +273,42 @@ for tau in (1.0, 0.6):
 """
 
 
-def test_trace_independent_of_blas_threads(tmp_path):
+def _run_child(script, out, threads):
     # One child interpreter per BLAS thread count: OpenBLAS reads the
     # variable once, when it loads.
     src = str(Path(irlskit.__file__).resolve().parents[1])
+    out.mkdir()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+
+
+def test_trace_independent_of_blas_threads(tmp_path):
     for threads in ("1", "2"):
-        out = tmp_path / threads
-        out.mkdir()
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-c", _TRACE_CHILD, str(out)], env=env, check=True)
+        _run_child(_TRACE_CHILD, tmp_path / threads, threads)
     for tau in (1.0, 0.6):
         name = f"trace-{tau}.csv"
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+_PHASE_CHILD = """
+import sys
+from irlskit.experiments import ExperimentConfig, run_phase_transition, write_phase_csv
+cfg = ExperimentConfig(
+    m=20, N=50, k=8, k_list=[0, 2, 4, 6, 8], tau_list=[1.0, 0.6], trials=10, master_seed=3
+)
+for workers in (1, 2):
+    table = run_phase_transition(cfg, n_workers=workers)
+    write_phase_csv(table, f"{sys.argv[1]}/phase-{workers}.csv")
+"""
+
+
+def test_phase_csv_independent_of_blas_threads_and_workers(tmp_path):
+    tables = []
+    for threads in ("1", "2"):
+        _run_child(_PHASE_CHILD, tmp_path / threads, threads)
+        tables += [(tmp_path / threads / f"phase-{w}.csv").read_bytes() for w in (1, 2)]
+    assert len(set(tables)) == 1
 
 
 def test_trace_zero_sparsity_stops_immediately(tmp_path):

@@ -14,12 +14,22 @@ from irlskit import (
     null_space_basis,
     weighted_ls_solve,
 )
-from irlskit.linalg import read_matrix, read_sensing_matrix, read_vector, write_matrix, write_vector
+from irlskit import linalg
+from irlskit.linalg import (
+    RANK_RTOL,
+    read_matrix,
+    read_sensing_matrix,
+    read_vector,
+    write_matrix,
+    write_vector,
+)
 
 
 def test_construction_requires_wide_shape():
     with pytest.raises(ValueError):
         SensingMatrix(np.eye(3))
+    with pytest.raises(ValueError):
+        SensingMatrix(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         SensingMatrix(np.array([[1.0, np.nan, 0.0]]))
 
@@ -27,6 +37,64 @@ def test_construction_requires_wide_shape():
 def test_construction_rejects_rank_deficient():
     with pytest.raises(RankDeficientError):
         SensingMatrix([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+
+
+def _with_singular_values(sv, n, seed=0):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(len(sv), len(sv))))
+    v, _ = np.linalg.qr(rng.normal(size=(n, len(sv))))
+    return (u * np.asarray(sv)) @ v.T
+
+
+def test_rank_check_paths(monkeypatch):
+    calls = []
+    svdvals = linalg.svdvals
+    monkeypatch.setattr(linalg, "svdvals", lambda a, **kw: calls.append(1) or svdvals(a, **kw))
+    # sigma_min / sigma_max = 1e-8 fails the Gram test and passes the SVD guard.
+    SensingMatrix(_with_singular_values([1.0, 0.3, 1e-8], 6))
+    assert len(calls) == 1
+    for bad in (_with_singular_values([1.0, 0.3, 1e-13], 6), np.zeros((3, 6))):
+        with pytest.raises(RankDeficientError):
+            SensingMatrix(bad)
+    assert len(calls) == 3
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD guard reached")
+
+    monkeypatch.setattr(linalg, "svdvals", no_svd)
+    SensingMatrix(_with_singular_values([1.0, 0.3, 1e-2], 6))
+
+
+@st.composite
+def _rank_probes(draw):
+    """Gaussian m x N matrices, some with row j replaced by c * row i plus
+    d * noise: duplicated (c = 1, d = 0), rescaled (d = 0) or near-dependent
+    (d > 0), at an overall scale whose Gram underflows, is normal, or
+    overflows.  d keeps sigma_min / sigma_max at least a decade away from
+    RANK_RTOL, where numpy's and scipy's SVDs could round differently."""
+    n = draw(st.integers(3, 14))
+    m = draw(st.integers(2, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(m, n))
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        c = draw(st.sampled_from([1.0, -1.0, 0.5, 4.0]))
+        d = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-6, 1e-3]))
+        a[j] = c * a[i] + d * rng.normal(size=n)
+    return a * draw(st.sampled_from([1e-160, 1.0, 1e160]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_probes())
+def test_rank_check_matches_svd_rule(a):
+    sv = np.linalg.svd(a, compute_uv=False)
+    full_rank = sv[0] > 0 and np.count_nonzero(sv > RANK_RTOL * sv[0]) == a.shape[0]
+    try:
+        SensingMatrix(a)
+    except RankDeficientError:
+        assert not full_rank
+    else:
+        assert full_rank
 
 
 def test_entries_frozen():
