@@ -28,7 +28,6 @@ from .experiments import (
     run_trace,
 )
 from .linalg import (
-    NullSpaceBasis,
     SensingMatrix,
     null_space_basis,
     weighted_ls_solve,
@@ -71,7 +70,6 @@ __all__ = [
     "IterationRecord",
     "MinimalityCheck",
     "MissingReferenceError",
-    "NullSpaceBasis",
     "PhaseTransitionTable",
     "PropertyReport",
     "RankDeficientError",

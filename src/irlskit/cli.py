@@ -41,12 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--matrix", required=True, help="matrix file (text format)")
     p.add_argument("--rhs", required=True, help="right-hand-side vector file")
-    p.add_argument("--K", type=int, default=None, help="sparsity order for the eps update (default: heuristic)")
-    p.add_argument("--tau", type=float, default=1.0, help="exponent in (0, 1]")
-    p.add_argument("--warmstart", type=int, default=None, help="tau=1 iterations before switching to tau (default: 10 if tau < 1)")
-    p.add_argument("--max-iters", type=int, default=2000, help="iteration cap")
-    p.add_argument("--eps-floor", type=float, default=1e-10, help="smoothing-parameter floor")
-    p.add_argument("--step-tol", type=float, default=1e-9, help="relative l1 step tolerance")
+    p.add_argument("--K", type=int, default=IrlsConfig.K, help="sparsity order for the eps update (default: heuristic)")
+    p.add_argument("--tau", type=float, default=IrlsConfig.tau, help="exponent in (0, 1]")
+    p.add_argument("--warmstart", type=int, default=IrlsConfig.warmstart_iters, help="tau=1 iterations before switching to tau (default: 10 if tau < 1)")
+    p.add_argument("--max-iters", type=int, default=IrlsConfig.max_iters, help="iteration cap")
+    p.add_argument("--eps-floor", type=float, default=IrlsConfig.eps_floor, help="smoothing-parameter floor")
+    p.add_argument("--step-tol", type=float, default=IrlsConfig.step_tol, help="relative l1 step tolerance")
     p.add_argument("--out", default="recovery.json", help="output JSON path")
     p.set_defaults(handler=_cmd_recover)
 
@@ -174,23 +174,17 @@ def _cmd_trace(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     os.makedirs(args.out, exist_ok=True)
     for tau in cfg.tau_list:
-        study = run_trace(
-            cfg,
-            tau,
-            trace_csv=os.path.join(args.out, f"trace_{_safe(tau)}.csv"),
-            ratios_csv=os.path.join(args.out, f"ratios_{_safe(tau)}.csv"),
-        )
+        suffix = f"tau{tau:g}".replace(".", "p")
+        trace_csv = os.path.join(args.out, f"trace_{suffix}.csv")
+        ratios_csv = os.path.join(args.out, f"ratios_{suffix}.csv")
+        study = run_trace(cfg, tau, trace_csv=trace_csv, ratios_csv=ratios_csv)
         print(
             f"{study.tag}: {study.result.iterations} iterations, "
             f"termination {study.result.termination}"
         )
-        print(f"wrote {os.path.join(args.out, f'trace_{_safe(tau)}.csv')}")
-        print(f"wrote {os.path.join(args.out, f'ratios_{_safe(tau)}.csv')}")
+        print(f"wrote {trace_csv}")
+        print(f"wrote {ratios_csv}")
     return 0
-
-
-def _safe(tau: float) -> str:
-    return f"tau{tau:g}".replace(".", "p")
 
 
 def _cmd_phase(args) -> int:

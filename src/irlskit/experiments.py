@@ -19,7 +19,7 @@ import json
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache, partial
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import SchemaMismatchError
 from .linalg import SensingMatrix, _fmt
 from .solver import (
     IrlsConfig,
+    IterationRecord,
     RecoveryResult,
     default_sparsity_order,
     irls_run,
@@ -39,10 +40,6 @@ from .sparsity import rearrangement
 #: generator identity recorded in outputs (bit streams are stable for a
 #: fixed numpy version; Philox itself is specified exactly)
 RNG_ID = f"numpy-{np.__version__}-philox-blake2b-v1"
-
-TRACE_CSV_HEADER = ["n", "surrogate", "eps", "step_l1", "ref_error_l1"]
-RATIOS_CSV_HEADER = ["n", "linear_ratio", "superlinear_ratio"]
-PHASE_CSV_HEADER = ["k", "method", "trials", "successes", "success_rate", "mean_iters"]
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -328,7 +325,6 @@ class TraceStudy:
 def run_trace(
     cfg: ExperimentConfig,
     tau: float,
-    warmstart: int | None = None,
     trace_csv=None,
     ratios_csv=None,
 ) -> TraceStudy:
@@ -342,8 +338,6 @@ def run_trace(
     phi = gen_gaussian_matrix(cfg.m, cfg.N, matrix_seed)
     planted = gen_sparse_vector(cfg.N, cfg.k, vector_seed, cfg.gap_ratio)
     solver_cfg = _solver_config(cfg, tau, cfg.resolve_K(cfg.k))
-    if warmstart is not None:
-        solver_cfg = replace(solver_cfg, warmstart_iters=warmstart)
     y = dgemv(1.0, phi.entries.T, planted, trans=1)
     result = irls_run(phi, y, solver_cfg, x_ref=planted)
     diagnostics = rate_diagnostics(result, planted, tau) if result.trace else []
@@ -363,100 +357,67 @@ def run_trace(
 
 
 # --- CSV schemas -------------------------------------------------------------
+#
+# Each schema maps column names, in file order, to cell types.  Floats are
+# written with 17 significant digits and None as an empty cell, which reads
+# back as None in a ``float | None`` column and is an error elsewhere.
+
+TRACE_CSV_COLUMNS = typing.get_type_hints(IterationRecord)
+RATIOS_CSV_COLUMNS = {"n": int, "linear_ratio": float, "superlinear_ratio": float}
+PHASE_CSV_COLUMNS = {"k": int, "method": str, **typing.get_type_hints(PhaseCell)}
 
 
-def write_trace_csv(result: RecoveryResult, path) -> None:
+def _write_csv(path, columns: dict, rows) -> None:
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_HEADER)
-        for rec in result.trace:
-            writer.writerow(
-                [
-                    rec.n,
-                    _fmt(rec.surrogate),
-                    _fmt(rec.eps),
-                    _fmt(rec.step_l1),
-                    "" if rec.ref_error_l1 is None else _fmt(rec.ref_error_l1),
-                ]
-            )
+        writer.writerow(columns)
+        for row in rows:  # csv writes None as an empty cell
+            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
-def _read_csv(path, required: list[str]) -> tuple[list[str], list[dict]]:
+def _read_csv(path, columns: dict) -> list[dict]:
+    """Rows as dicts of the ``columns`` cells, converted to their types.
+
+    Other columns are ignored; a missing one raises ``SchemaMismatchError``.
+    """
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise SchemaMismatchError(f"{path}: empty file")
-        for col in required:
+        for col in columns:
             if col not in header:
                 raise SchemaMismatchError(f"{path}: missing column '{col}'")
         rows = [dict(zip(header, row)) for row in reader]
-    return header, rows
+    return [{col: _parse_cell(row[col], kind) for col, kind in columns.items()} for row in rows]
+
+
+def _parse_cell(text: str, kind):
+    if kind == float | None:
+        return float(text) if text else None
+    return kind(text)
+
+
+def write_trace_csv(result: RecoveryResult, path) -> None:
+    _write_csv(path, TRACE_CSV_COLUMNS, [astuple(rec) for rec in result.trace])
 
 
 def read_trace_csv(path) -> list[dict]:
-    _, rows = _read_csv(path, TRACE_CSV_HEADER)
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "n": int(row["n"]),
-                "surrogate": float(row["surrogate"]),
-                "eps": float(row["eps"]),
-                "step_l1": float(row["step_l1"]),
-                "ref_error_l1": float(row["ref_error_l1"]) if row["ref_error_l1"] else None,
-            }
-        )
-    return out
+    return _read_csv(path, TRACE_CSV_COLUMNS)
 
 
 def write_ratios_csv(diagnostics, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RATIOS_CSV_HEADER)
-        for n, lin, sup in diagnostics:
-            writer.writerow([n, _fmt(lin), _fmt(sup)])
+    _write_csv(path, RATIOS_CSV_COLUMNS, diagnostics)
 
 
 def read_ratios_csv(path) -> list[dict]:
-    header, rows = _read_csv(path, ["n"])
-    if not any(c in header for c in ("linear_ratio", "superlinear_ratio")):
-        raise SchemaMismatchError(f"{path}: missing column 'linear_ratio'")
-    keep = [c for c in RATIOS_CSV_HEADER if c in header]
-    return [
-        {key: (int(row[key]) if key == "n" else float(row[key])) for key in keep}
-        for row in rows
-    ]
+    return _read_csv(path, RATIOS_CSV_COLUMNS)
 
 
 def write_phase_csv(table: PhaseTransitionTable, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PHASE_CSV_HEADER)
-        for (k, tag) in sorted(table.rows, key=lambda key: (key[0], key[1])):
-            cell = table.rows[(k, tag)]
-            writer.writerow(
-                [
-                    k,
-                    tag,
-                    cell.trials,
-                    cell.successes,
-                    _fmt(cell.success_rate),
-                    _fmt(cell.mean_iters),
-                ]
-            )
+    rows = [(k, tag, *astuple(table.rows[(k, tag)])) for k, tag in sorted(table.rows)]
+    _write_csv(path, PHASE_CSV_COLUMNS, rows)
 
 
 def read_phase_csv(path) -> list[dict]:
-    _, rows = _read_csv(path, PHASE_CSV_HEADER)
-    return [
-        {
-            "k": int(row["k"]),
-            "method": row["method"],
-            "trials": int(row["trials"]),
-            "successes": int(row["successes"]),
-            "success_rate": float(row["success_rate"]),
-            "mean_iters": float(row["mean_iters"]),
-        }
-        for row in rows
-    ]
+    return _read_csv(path, PHASE_CSV_COLUMNS)

@@ -19,6 +19,7 @@ weighted norm instead.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,34 +100,13 @@ class SensingMatrix:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class NullSpaceBasis:
-    """Orthonormal basis of the kernel of a sensing matrix.
-
-    ``matrix`` has shape (N, N - m); columns are pairwise orthonormal and
-    annihilated by the generating matrix.  ``source_fingerprint`` ties the
-    basis back to the matrix it was computed from.
-    """
-
-    matrix: np.ndarray
-    source_fingerprint: str
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(_as_float_array(self.matrix, "matrix"))
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-def null_space_basis(phi: SensingMatrix) -> NullSpaceBasis:
+def null_space_basis(phi: SensingMatrix) -> np.ndarray:
     """Orthonormal basis of the (N - m)-dimensional kernel of ``phi``.
 
-    Deterministic for a fixed input: the basis comes from the SVD and each
-    column's sign is fixed so its largest-magnitude entry (first index on
-    ties) is positive.
+    Returns a read-only (N, N - m) array whose columns are pairwise
+    orthonormal and annihilated by ``phi``.  Deterministic for a fixed
+    input: the basis comes from the SVD and each column's sign is fixed so
+    its largest-magnitude entry (first index on ties) is positive.
     """
     m, n = phi.shape
     _, sv, vh = np.linalg.svd(phi.entries)
@@ -137,7 +117,8 @@ def null_space_basis(phi: SensingMatrix) -> NullSpaceBasis:
         lead = int(np.argmax(np.abs(basis[:, j])))
         if basis[lead, j] < 0:
             basis[:, j] = -basis[:, j]
-    return NullSpaceBasis(matrix=basis, source_fingerprint=phi.fingerprint())
+    basis.flags.writeable = False
+    return basis
 
 
 def weighted_ls_solve(phi: SensingMatrix, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -192,64 +173,64 @@ def weighted_ls_solve(phi: SensingMatrix, y: np.ndarray, w: np.ndarray) -> np.nd
 #
 # Matrices: first line "m N", then m rows of N space-separated decimals.
 # Vectors:  first line "N", then one row of N values.
-# Scientific notation is accepted on input; output uses 17 significant digits.
+# Input tokens are numpy's float syntax (scientific notation, nan, inf);
+# output uses 17 significant digits.
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _floats(path, tokens) -> list[float]:
-    try:
-        return [float(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _write_rows(path, header: str, rows: list) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(" ".join(map(_fmt, row)) + "\n")
+
+
+def _read_rows(path, header_names: str) -> np.ndarray:
+    """(m, N) array from a file whose first line holds the counts ``header_names``.
+
+    Exactly the declared rows are read and only whitespace may follow them;
+    numpy's parser converts the values.  Every ``ValueError`` names the file.
+    """
+    with open(path, encoding="ascii") as fh:
+        header = fh.readline().split()
+        if len(header) != len(header_names.split()) or not all(tok.isdigit() for tok in header):
+            raise ValueError(f"{path}: expected header '{header_names}'")
+        counts = [int(tok) for tok in header]
+        m, n = counts if len(counts) == 2 else (1, counts[0])
+        lines = list(itertools.islice(fh, m))  # stops early at the end of a short file
+        if fh.read().strip():
+            raise ValueError(f"{path}: unexpected content after {m} rows")
+    if any(line.strip() for line in lines):
+        try:
+            arr = np.loadtxt(lines, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    else:  # no values at all (np.loadtxt would warn): fine only for an empty shape
+        arr = np.empty((m, n) if m * n == 0 else (0, n))
+    if arr.shape != (m, n):
+        raise ValueError(f"{path}: expected {m} rows of {n} values, got shape {arr.shape}")
+    return arr
 
 
 def write_matrix(path, a: np.ndarray) -> None:
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+    _write_rows(path, f"{a.shape[0]} {a.shape[1]}", a.tolist())
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(tok.isdigit() for tok in header):
-            raise ValueError(f"{path}: expected header 'm N'")
-        m, n = (int(tok) for tok in header)
-        rows = []
-        for i in range(m):
-            vals = fh.readline().split()
-            if len(vals) != n:
-                raise ValueError(f"{path}: row {i} has {len(vals)} values, expected {n}")
-            rows.append(_floats(path, vals))
-        if fh.read().strip():
-            raise ValueError(f"{path}: unexpected content after {m} rows")
-    return np.array(rows, dtype=float)
+    return _read_rows(path, "m N")
 
 
 def write_vector(path, v: np.ndarray) -> None:
     v = np.asarray(v, dtype=float).ravel()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{v.size}\n")
-        fh.write(" ".join(_fmt(x) for x in v) + "\n")
+    _write_rows(path, f"{v.size}", [v.tolist()])
 
 
 def read_vector(path) -> np.ndarray:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 1 or not header[0].isdigit():
-            raise ValueError(f"{path}: expected header 'N'")
-        n = int(header[0])
-        vals = fh.readline().split()
-        if len(vals) != n:
-            raise ValueError(f"{path}: got {len(vals)} values, expected {n}")
-        if fh.read().strip():
-            raise ValueError(f"{path}: unexpected content after the values")
-    return np.array(_floats(path, vals))
+    return _read_rows(path, "N")[0]
 
 
 def read_sensing_matrix(path) -> SensingMatrix:

@@ -131,13 +131,9 @@ def emit_plot(csv_path, kind: str, out_path) -> None:
     elif kind == "ratios":
         rows = read_ratios_csv(csv_path)
         canvas = _Canvas("iteration n", "ratio")
-        for col in ("linear_ratio", "superlinear_ratio"):
-            if rows and col in rows[0]:
-                canvas.add_series(
-                    col, [r["n"] for r in rows], [r[col] for r in rows]
-                )
-        if not canvas.series:
-            canvas.add_series("linear_ratio", [], [])
+        # an empty file draws one empty series and no legend
+        for col in ("linear_ratio", "superlinear_ratio") if rows else ("linear_ratio",):
+            canvas.add_series(col, [r["n"] for r in rows], [r[col] for r in rows])
     else:
         rows = read_phase_csv(csv_path)
         canvas = _Canvas("sparsity k", "success rate")

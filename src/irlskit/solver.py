@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -341,32 +341,17 @@ def theoretical_contraction_factor(
 def result_to_dict(result: RecoveryResult) -> dict:
     """Versioned JSON document for a RecoveryResult.
 
-    Field names are fixed by ``schemas/recovery_result.schema.json``.
+    Field names are fixed by ``schemas/recovery_result.schema.json``.  The
+    config block records the K and warm start the run resolved.
     """
     cfg = result.config
     return {
         "schema_version": RESULT_SCHEMA_VERSION,
-        "config": {
-            "K": result.resolved_K,
-            "tau": cfg.tau,
-            "warmstart_iters": cfg.warmstart,
-            "max_iters": cfg.max_iters,
-            "eps_floor": cfg.eps_floor,
-            "step_tol": cfg.step_tol,
-        },
+        "config": asdict(replace(cfg, K=result.resolved_K, warmstart_iters=cfg.warmstart)),
         "termination": result.termination,
         "a_bound": result.a_bound if math.isfinite(result.a_bound) else None,
         "x_final": [float(v) for v in result.x_final],
-        "trace": [
-            {
-                "n": rec.n,
-                "surrogate": rec.surrogate,
-                "eps": rec.eps,
-                "step_l1": rec.step_l1,
-                "ref_error_l1": rec.ref_error_l1,
-            }
-            for rec in result.trace
-        ],
+        "trace": [asdict(rec) for rec in result.trace],
     }
 
 
@@ -376,31 +361,22 @@ def save_result(result: RecoveryResult, path) -> None:
         fh.write("\n")
 
 
+def _from_json(cls, row: dict):
+    """``cls(**row)``, where a missing field raises ``KeyError`` rather than taking its default."""
+    for f in fields(cls):
+        if f.name not in row:
+            raise KeyError(f.name)
+    return cls(**row)
+
+
 def load_result(path) -> RecoveryResult:
     """Read a RecoveryResult JSON document back into memory."""
     with open(path, encoding="ascii") as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != RESULT_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    cfg_doc = doc["config"]
-    cfg = IrlsConfig(
-        K=cfg_doc["K"],
-        tau=cfg_doc["tau"],
-        warmstart_iters=cfg_doc["warmstart_iters"],
-        max_iters=cfg_doc["max_iters"],
-        eps_floor=cfg_doc["eps_floor"],
-        step_tol=cfg_doc["step_tol"],
-    )
-    trace = [
-        IterationRecord(
-            n=row["n"],
-            surrogate=row["surrogate"],
-            eps=row["eps"],
-            step_l1=row["step_l1"],
-            ref_error_l1=row["ref_error_l1"],
-        )
-        for row in doc["trace"]
-    ]
+    cfg = _from_json(IrlsConfig, doc["config"])
+    trace = [_from_json(IterationRecord, row) for row in doc["trace"]]
     a_bound = doc["a_bound"]
     return RecoveryResult(
         x_final=np.array(doc["x_final"], dtype=float),
@@ -408,7 +384,7 @@ def load_result(path) -> RecoveryResult:
         trace=trace,
         a_bound=math.nan if a_bound is None else a_bound,
         config=cfg,
-        resolved_K=cfg_doc["K"],
+        resolved_K=cfg.K,
     )
 
 

@@ -35,22 +35,13 @@ from .errors import (
     InfeasibleError,
     IrlsKitError,
 )
-from .linalg import NullSpaceBasis, SensingMatrix, _as_float_array, null_space_basis
+from .linalg import SensingMatrix, _as_float_array, null_space_basis
 
 EXACT_NSP_MAX_DIM = 4
 EXACT_NSP_MAX_COLS = 16
 RIP_SUPPORT_BUDGET = 2_000_000
 SPARSE_ORACLE_BUDGET = 1_000_000
 L1_ORACLE_MAX_COLS = 2000
-
-_METHOD_NAMES = {
-    "auto": "auto",
-    "exact": "ExactEnumeration",
-    "exactenumeration": "ExactEnumeration",
-    "montecarlo": "MonteCarloLowerBound",
-    "montecarlolowerbound": "MonteCarloLowerBound",
-}
-
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -211,7 +202,7 @@ def exact_nsp_profile(phi: SensingMatrix) -> np.ndarray:
             f"exact enumeration limited to null-space dim <= {EXACT_NSP_MAX_DIM} "
             f"and N <= {EXACT_NSP_MAX_COLS}; got dim {n - m}, N {n}"
         )
-    shares = _exact_top_shares(null_space_basis(phi).matrix)[: n - 1]
+    shares = _exact_top_shares(null_space_basis(phi))[: n - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(shares < 1.0, shares / (1.0 - shares), np.inf)
 
@@ -256,35 +247,34 @@ def nsp_constant(
     ``sum_T |eta_i|^tau / sum_{T^c} |eta_i|^tau``.  Exact enumeration is
     available for tau = 1 on small null spaces; otherwise a Monte Carlo
     scan of ``samples`` random kernel directions (plus all coordinate
-    projections) yields a certified lower bound.
+    projections) yields a certified lower bound.  ``method`` is "exact",
+    "montecarlo" or "auto", which picks exact enumeration where it applies.
     """
     m, n = phi.shape
     if not 1 <= order < n:
         raise ValueError(f"order must be in [1, N-1], got {order}")
     if not 0 < tau <= 1:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    try:
-        method_name = _METHOD_NAMES[method.replace("-", "").replace("_", "").lower()]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
+    if method not in ("auto", "exact", "montecarlo"):
+        raise ValueError(f"unknown method {method!r}")
     small = n - m <= EXACT_NSP_MAX_DIM and n <= EXACT_NSP_MAX_COLS
-    if method_name == "auto":
-        method_name = "ExactEnumeration" if (tau == 1.0 and small) else "MonteCarloLowerBound"
+    if method == "auto":
+        method = "exact" if (tau == 1.0 and small) else "montecarlo"
     t0 = time.perf_counter()
-    if method_name == "ExactEnumeration":
+    if method == "exact":
         if tau != 1.0:
             raise ValueError("exact enumeration supports tau = 1 only")
         gamma = float(exact_nsp_profile(phi)[order - 1])
         samples_used = 0
     else:
-        gamma = _mc_gamma(null_space_basis(phi).matrix, order, tau, samples, seed)
+        gamma = _mc_gamma(null_space_basis(phi), order, tau, samples, seed)
         samples_used = samples
     return PropertyReport(
         kind="NSP" if tau == 1.0 else "TauNSP",
         order=order,
         constant=gamma,
         tau=tau,
-        method=method_name,
+        method="ExactEnumeration" if method == "exact" else "MonteCarloLowerBound",
         samples=samples_used,
         elapsed_seconds=time.perf_counter() - t0,
     )
@@ -433,14 +423,15 @@ def _max_sign_functional(rows: np.ndarray, g: np.ndarray, lift: np.ndarray):
 
 def l1_minimality_check(
     x: np.ndarray,
-    basis: NullSpaceBasis,
+    basis: np.ndarray,
     samples: int = 20_000,
     zero_tol: float | None = None,
     seed: int = 0,
 ) -> MinimalityCheck:
     """Test whether ``x`` has minimal l1 norm on its solution set.
 
-    ``x`` minimizes the l1 norm over ``{z : Phi z = Phi x}`` if and only if
+    ``basis`` is the kernel basis from :func:`null_space_basis`.  ``x``
+    minimizes the l1 norm over ``{z : Phi z = Phi x}`` if and only if
     ``|sum_{x_i != 0} sign(x_i) eta_i| <= sum_{x_i = 0} |eta_i|`` for every
     kernel vector ``eta`` (non-strict inequality suffices for minimality;
     strictness everywhere governs uniqueness).  The condition is positively
@@ -449,8 +440,7 @@ def l1_minimality_check(
     ``samples`` random directions are tested, giving either a concrete
     violation witness or an inconclusive report.
     """
-    b = basis.matrix
-    n, dim = b.shape
+    n, dim = basis.shape
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {x.shape}")
@@ -459,11 +449,11 @@ def l1_minimality_check(
     support = np.abs(x) > zero_tol
     s = np.where(support, np.sign(x), 0.0)
     if dim <= EXACT_NSP_MAX_DIM:
-        val, witness = _max_sign_functional(b[~support], b.T @ s, b)
+        val, witness = _max_sign_functional(basis[~support], basis.T @ s, basis)
         if val <= 1.0 + 1e-9:
             return MinimalityCheck("Certified")
         return MinimalityCheck("Violated", witness)
-    etas = _mc_directions(b, samples, seed) @ b.T
+    etas = _mc_directions(basis, samples, seed) @ basis.T
     lhs = np.abs(etas @ s)
     rhs = np.sum(np.abs(etas[:, ~support]), axis=1)
     bad = lhs > rhs * (1.0 + 1e-9) + 1e-12 * np.sum(np.abs(etas), axis=1)

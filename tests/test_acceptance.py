@@ -87,7 +87,7 @@ def random_suite():
         stats["run_seconds"] += time.perf_counter() - t0
         stats["runs"] += 1
 
-        basis = null_space_basis(phi).matrix
+        basis = null_space_basis(phi)
         iterates = result.iterates
         eps_list = [rec.eps for rec in result.trace]
         w_mins = []
@@ -191,7 +191,7 @@ def certified_tiny_scan():
     while attempts < 4000 and len(qualifying) < 50:
         attempts += 1
         eta = rng.choice([-1.0, 1.0], size=12) + 0.1 * rng.normal(size=12)
-        u = null_space_basis(SensingMatrix(eta[None, :])).matrix
+        u = null_space_basis(SensingMatrix(eta[None, :]))
         q, r = np.linalg.qr(rng.normal(size=(11, 11)))
         phi = SensingMatrix((q * np.sign(np.diag(r))) @ u.T)
         profile = exact_nsp_profile(phi)
@@ -252,7 +252,7 @@ def test_acceptance_5_error_bound(certified_tiny_scan):
         x_star[rng.choice(12, size=k, replace=False)] = rng.normal(size=k)
         y = phi.entries @ x_star
         x_bar = irls_run(phi, y, IrlsConfig(K=order)).x_final
-        basis = null_space_basis(phi).matrix
+        basis = null_space_basis(phi)
         c = 2.0 * (1.0 + gamma) / (1.0 - gamma)
         for _ in range(10):
             z = x_star + basis @ rng.normal(size=basis.shape[1])

@@ -329,6 +329,9 @@ def test_trace_csv_schema_guard(tmp_path):
     bad2.write_text("n,foo\n1,2\n")
     with pytest.raises(SchemaMismatchError, match="linear_ratio"):
         read_ratios_csv(bad2)
+    bad2.write_text("n,linear_ratio\n1,0.5\n")
+    with pytest.raises(SchemaMismatchError, match="superlinear_ratio"):
+        read_ratios_csv(bad2)
 
 
 def test_ratios_csv_roundtrip(tmp_path):

@@ -106,28 +106,28 @@ def test_entries_frozen():
 def test_null_space_basis_tiny():
     phi = SensingMatrix([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     basis = null_space_basis(phi)
-    assert basis.matrix.shape == (3, 1)
+    assert basis.shape == (3, 1)
+    assert not basis.flags.writeable
     expected = np.array([1.0, 1.0, -1.0]) / np.sqrt(3)
-    assert abs(abs(basis.matrix[:, 0] @ expected) - 1.0) < 1e-12
-    assert basis.source_fingerprint == phi.fingerprint()
+    assert abs(abs(basis[:, 0] @ expected) - 1.0) < 1e-12
 
 
 def test_null_space_basis_axis():
     phi = SensingMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     basis = null_space_basis(phi)
-    assert np.allclose(np.abs(basis.matrix[:, 0]), [0.0, 0.0, 1.0], atol=1e-14)
+    assert np.allclose(np.abs(basis[:, 0]), [0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_null_space_basis_random():
     rng = np.random.default_rng(0)
     phi = SensingMatrix(rng.normal(size=(8, 12)))
     basis = null_space_basis(phi)
-    assert basis.matrix.shape == (12, 4)
-    gram = basis.matrix.T @ basis.matrix
+    assert basis.shape == (12, 4)
+    gram = basis.T @ basis
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
     fro = np.linalg.norm(phi.entries)
     for j in range(4):
-        assert np.linalg.norm(phi.entries @ basis.matrix[:, j]) <= 1e-10 * fro
+        assert np.linalg.norm(phi.entries @ basis[:, j]) <= 1e-10 * fro
 
 
 def test_null_space_basis_deterministic():
@@ -135,7 +135,7 @@ def test_null_space_basis_deterministic():
     entries = rng.normal(size=(5, 9))
     b1 = null_space_basis(SensingMatrix(entries))
     b2 = null_space_basis(SensingMatrix(entries.copy()))
-    assert np.array_equal(b1.matrix, b2.matrix)
+    assert np.array_equal(b1, b2)
 
 
 def test_weighted_ls_symmetric():
@@ -176,8 +176,8 @@ def test_weighted_ls_feasibility_and_orthogonality():
         assert np.linalg.norm(phi.entries @ x - y) <= 1e-8 * np.linalg.norm(y)
         basis = null_space_basis(phi)
         xw = np.sqrt(np.sum(w * x * x))
-        for j in range(basis.dim):
-            eta = basis.matrix[:, j]
+        for j in range(basis.shape[1]):
+            eta = basis[:, j]
             ew = np.sqrt(np.sum(w * eta * eta))
             assert abs(np.sum(w * x * eta)) <= 1e-8 * xw * ew
 
@@ -208,7 +208,7 @@ def test_weighted_ls_property(problem):
     # its condition number; a flat tolerance holds only while that is small.
     slack = 16.0 * np.finfo(float).eps * np.linalg.cond(gram)
     assert np.linalg.norm(a @ x - y) <= max(1e-9, slack) * np.linalg.norm(y)
-    basis = null_space_basis(phi).matrix
+    basis = null_space_basis(phi)
     assert np.max(np.abs(basis.T @ (w * x))) <= 1e-12 * np.linalg.norm(w * x)
     ref = d * (a.T @ np.linalg.solve(gram, y))
     assert np.linalg.norm(x - ref) <= max(1e-8, slack) * np.linalg.norm(ref)
@@ -277,6 +277,9 @@ def test_read_matrix_rejects_bad_header(tmp_path):
     path.write_text("3\n1 2 3\n")
     with pytest.raises(ValueError):
         read_matrix(path)
+    path.write_text("1000000000000 3\n1 2 3\n")  # read no further than the file
+    with pytest.raises(ValueError, match="bad.mat"):
+        read_matrix(path)
 
 
 def test_read_matrix_rejects_trailing_rows(tmp_path):
@@ -295,6 +298,21 @@ def test_read_vector_rejects_trailing_lines(tmp_path):
     path.write_text("2\n1 1\n3 4\n")
     with pytest.raises(ValueError, match="extra.vec"):
         read_vector(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_readers_load_empty_arrays(tmp_path):
+    path = tmp_path / "empty.vec"
+    for text in ("0\n\n", "0\n"):
+        path.write_text(text)
+        got = read_vector(path)
+        assert got.shape == (0,) and got.dtype == float
+    path.write_text("2\n\n")
+    with pytest.raises(ValueError, match="empty.vec"):
+        read_vector(path)
+    path = tmp_path / "empty.mat"
+    path.write_text("2 0\n\n\n")
+    assert read_matrix(path).shape == (2, 0)
 
 
 _NONFINITE = ["nan", "inf", "-inf", "NaN", "Infinity"]
@@ -319,7 +337,7 @@ def _text_files(draw):
     elif defect == "extra":
         rows.append([repr(v) for v in vals[i]])
     elif defect == "token":
-        rows[i][j] = draw(st.sampled_from(["x", "1,5", "0x1p3", "--1", "1e", "nanx"]))
+        rows[i][j] = draw(st.sampled_from(["x", "1,5", "0x1p3", "--1", "1e", "nanx", "1_0"]))
     elif defect == "nonfinite":
         rows[i][j] = draw(st.sampled_from(_NONFINITE))
         vals[i][j] = float(rows[i][j])

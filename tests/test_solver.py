@@ -369,3 +369,22 @@ def test_result_json_roundtrip(tmp_path):
     assert len(loaded.trace) == len(result.trace)
     assert loaded.trace[-1].eps == result.trace[-1].eps
     assert json.loads(path.read_text())["schema_version"] == 1
+
+
+@pytest.mark.parametrize(
+    "block, key, error",
+    [("config", "K", KeyError), ("trace", "ref_error_l1", KeyError), ("config", "extra", TypeError)],
+)
+def test_load_result_rejects_missing_and_unknown_keys(tmp_path, block, key, error):
+    rng = np.random.default_rng(14)
+    phi, x_star, y = _random_instance(rng, 6, 14, 2)
+    doc = result_to_dict(irls_run(phi, y, IrlsConfig(K=2)))
+    target = doc["config"] if block == "config" else doc["trace"][0]
+    if key in target:
+        del target[key]
+    else:
+        target[key] = 1
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=key):
+        load_result(path)

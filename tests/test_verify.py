@@ -163,7 +163,7 @@ def test_nsp_exact_brute_force_cross_check():
     rng = np.random.default_rng(3)
     for _ in range(10):
         phi = _gaussian(rng, 5, 6)
-        eta = np.abs(null_space_basis(phi).matrix[:, 0])
+        eta = np.abs(null_space_basis(phi)[:, 0])
         eta = np.sort(eta)[::-1]
         for order in (1, 2, 3):
             expected = eta[:order].sum() / eta[order:].sum()
@@ -178,7 +178,7 @@ def test_nsp_gaussian_8x12_orders_three_and_up_uncertifiable():
     rng = np.random.default_rng(18)
     for _ in range(20):
         phi = _gaussian(rng, 8, 12)
-        basis = null_space_basis(phi).matrix
+        basis = null_space_basis(phi)
         zeros = rng.choice(12, size=3, replace=False)
         eta = basis @ np.linalg.svd(basis[zeros])[2][-1]
         assert np.max(np.abs(eta[zeros])) <= 1e-12
@@ -262,7 +262,7 @@ def _nsp_instances():
 
 @pytest.mark.parametrize("phi", list(_nsp_instances()), ids=["8x12", "6x10", "9x12", "equal-rows"])
 def test_exact_nsp_profile_matches_svd_reference(phi, monkeypatch):
-    basis = null_space_basis(phi).matrix
+    basis = null_space_basis(phi)
     shares, profile = verify._exact_top_shares(basis), exact_nsp_profile(phi)
     monkeypatch.setattr(verify, "_vertex_directions", _svd_vertex_directions)
     ref_shares, ref_profile = verify._exact_top_shares(basis), exact_nsp_profile(phi)
@@ -303,6 +303,12 @@ def test_nsp_exact_dimension_guard():
     assert report.method == "MonteCarloLowerBound"
     with pytest.raises(ValueError):
         nsp_constant(TINY, 1, tau=0.5, method="exact")
+
+
+@pytest.mark.parametrize("method", ["ExactEnumeration", "Monte-Carlo"])
+def test_nsp_method_names_are_exact(method):
+    with pytest.raises(ValueError, match="unknown method"):
+        nsp_constant(TINY, 1, method=method)
 
 
 def test_nsp_report_json_fields():
@@ -456,7 +462,7 @@ def test_l1_oracle_beats_dense_candidates():
         assert np.linalg.norm(phi.entries @ x - y) <= 1e-8 * max(np.linalg.norm(y), 1.0)
         basis = null_space_basis(phi)
         for _ in range(50):
-            z = x + basis.matrix @ rng.normal(size=basis.dim)
+            z = x + basis @ rng.normal(size=basis.shape[1])
             assert np.sum(np.abs(x)) <= np.sum(np.abs(z)) + 1e-9
 
 
@@ -592,7 +598,7 @@ def test_reverse_triangle_inequality():
         basis = null_space_basis(phi)
         for tau in (1.0, 0.7):
             for _ in range(20):
-                zp = x_star + basis.matrix @ rng.normal(size=basis.dim)
+                zp = x_star + basis @ rng.normal(size=basis.shape[1])
                 lhs = np.sum(np.abs(zp - x_star) ** tau)
                 gap = np.sum(np.abs(zp) ** tau) - np.sum(np.abs(x_star) ** tau)
                 rhs = (1 + gamma1) / (1 - gamma1) * (gap + 2 * sigma_k(x_star, 1, tau))
@@ -606,7 +612,7 @@ def test_sparse_recovery_error_bound():
         basis = null_space_basis(phi)
         c = 2 * (1 + gamma1) / (1 - gamma1)
         for _ in range(20):
-            v = x_star + basis.matrix @ rng.normal(size=basis.dim)
+            v = x_star + basis @ rng.normal(size=basis.shape[1])
             assert np.sum(np.abs(v - x_star)) <= c * sigma_k(v, 1) * (1 + 1e-9) + 1e-12
 
 
