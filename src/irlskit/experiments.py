@@ -19,7 +19,7 @@ import json
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -31,6 +31,7 @@ from .solver import (
     IrlsConfig,
     IterationRecord,
     RecoveryResult,
+    _check_types,
     default_sparsity_order,
     irls_run,
     rate_diagnostics,
@@ -121,7 +122,7 @@ class ExperimentConfig:
     selects the solver's sparsity order per trial: "EqualsPlantedK",
     "Heuristic", or an explicit integer.  ``warmstart_iters`` applies to
     the hybrid (tau < 1) methods in ``tau_list``.  A field whose value
-    does not fit its type (see ``_json_fits``) raises ``ValueError``.
+    does not fit its type (see ``solver._json_fits``) raises ``ValueError``.
     """
 
     m: int
@@ -141,10 +142,7 @@ class ExperimentConfig:
     per_trial_matrix: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _json_fits(value, _CONFIG_TYPES[f.name]):
-                raise ValueError(f"config key {f.name!r}: {value!r} is not {f.type}")
+        _check_types(ExperimentConfig, [vars(self)], "config key")
         if not 0 <= self.k <= self.m < self.N:
             raise ValueError(f"need k <= m < N, got k={self.k}, m={self.m}, N={self.N}")
         if self.trials < 1:
@@ -172,8 +170,9 @@ class ExperimentConfig:
         """From a JSON object; ``ValueError`` names an unknown or mistyped key."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
+        hints = typing.get_type_hints(cls)
         for key in doc:
-            if key not in _CONFIG_TYPES:
+            if key not in hints:
                 raise ValueError(f"unknown config key {key!r}")
         return cls(**doc)
 
@@ -181,21 +180,6 @@ class ExperimentConfig:
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="ascii") as fh:
             return cls.from_dict(json.load(fh))
-
-
-_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
-
-
-def _json_fits(value, hint) -> bool:
-    """Whether a JSON value fits a field type; a bool is no number, an int is a float."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
-    if args:  # a union
-        return any(_json_fits(value, h) for h in args)
-    if hint is bool or isinstance(value, bool):
-        return hint is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def method_tag(tau: float) -> str:

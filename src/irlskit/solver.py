@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 
@@ -361,12 +362,27 @@ def save_result(result: RecoveryResult, path) -> None:
         fh.write("\n")
 
 
-def _from_json(cls, row: dict):
-    """``cls(**row)``, where a missing field raises ``KeyError`` rather than taking its default."""
-    for f in fields(cls):
-        if f.name not in row:
-            raise KeyError(f.name)
-    return cls(**row)
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type; a bool is no number, an int is a float."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+    if args:  # a union
+        return any(_json_fits(value, h) for h in args)
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_types(cls, rows, what: str = "key") -> None:
+    """Raise ``ValueError`` naming the first field of ``cls`` whose value in
+    one of the dicts ``rows`` does not fit its type; a missing field raises
+    ``KeyError`` rather than taking its default."""
+    hints = typing.get_type_hints(cls)
+    for row in rows:
+        for f in fields(cls):
+            if not _json_fits(row[f.name], hints[f.name]):
+                raise ValueError(f"{what} {f.name!r}: {row[f.name]!r} is not {f.type}")
 
 
 def load_result(path) -> RecoveryResult:
@@ -375,9 +391,15 @@ def load_result(path) -> RecoveryResult:
         doc = json.load(fh)
     if doc.get("schema_version") != RESULT_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    cfg = _from_json(IrlsConfig, doc["config"])
-    trace = [_from_json(IterationRecord, row) for row in doc["trace"]]
+    _check_types(IrlsConfig, [doc["config"]])
+    _check_types(IterationRecord, doc["trace"])
+    cfg = IrlsConfig(**doc["config"])
+    trace = [IterationRecord(**row) for row in doc["trace"]]
     a_bound = doc["a_bound"]
+    if doc["termination"] not in TERMINATIONS:
+        raise ValueError(f"key 'termination': unknown reason {doc['termination']!r}")
+    if not _json_fits(a_bound, float | None):
+        raise ValueError(f"key 'a_bound': {a_bound!r} is not a number or null")
     return RecoveryResult(
         x_final=np.array(doc["x_final"], dtype=float),
         termination=doc["termination"],

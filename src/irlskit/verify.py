@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -61,15 +61,7 @@ class PropertyReport:
     elapsed_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "order": self.order,
-            "constant": self.constant,
-            "tau": self.tau,
-            "method": self.method,
-            "samples": self.samples,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         name = "delta" if self.kind == "RIP" else "gamma"
@@ -207,27 +199,27 @@ def exact_nsp_profile(phi: SensingMatrix) -> np.ndarray:
         return np.where(shares < 1.0, shares / (1.0 - shares), np.inf)
 
 
-def _mc_directions(basis: np.ndarray, samples: int, seed: int) -> np.ndarray:
-    """Scan directions: ``samples`` Philox normals, normalised basis rows, identity."""
-    dim = basis.shape[1]
+def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, seed: int) -> float:
+    """Largest top-``order`` mass ratio over ``samples`` Philox normals, drawn
+    in 4096-row blocks as the scan reaches them, then over the normalised
+    basis rows and the identity; a max over rows, so blocks cannot change it."""
+    n, dim = basis.shape
     rng = np.random.Generator(np.random.Philox(key=seed))
     extremes = basis / np.maximum(np.linalg.norm(basis, axis=1, keepdims=True), 1e-300)
-    return np.vstack([rng.normal(size=(samples, dim)), extremes, np.eye(dim)])
-
-
-def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, seed: int) -> float:
-    n = basis.shape[0]
-    dirs = _mc_directions(basis, samples, seed)
+    blocks = itertools.chain(
+        (rng.normal(size=(min(4096, samples - i), dim)) for i in range(0, samples, 4096)),
+        [np.vstack([extremes, np.eye(dim)])],
+    )
     best = 0.0
-    for block in np.array_split(dirs, max(1, len(dirs) // 4096)):
-        a = np.abs(block @ basis.T)
+    for block in blocks:
+        a = block @ basis.T
+        np.abs(a, out=a)
         if tau != 1.0:
             a **= tau
         a.sort(axis=1)
         top = a[:, n - order :].sum(axis=1)
         rest = a[:, : n - order].sum(axis=1)
-        ok = rest > 0
-        if np.any(~ok):
+        if not np.all(rest > 0):
             return math.inf
         best = max(best, float(np.max(top / rest)))
     return best
@@ -257,6 +249,8 @@ def nsp_constant(
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     if method not in ("auto", "exact", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     small = n - m <= EXACT_NSP_MAX_DIM and n <= EXACT_NSP_MAX_COLS
     if method == "auto":
         method = "exact" if (tau == 1.0 and small) else "montecarlo"
@@ -265,17 +259,15 @@ def nsp_constant(
         if tau != 1.0:
             raise ValueError("exact enumeration supports tau = 1 only")
         gamma = float(exact_nsp_profile(phi)[order - 1])
-        samples_used = 0
     else:
         gamma = _mc_gamma(null_space_basis(phi), order, tau, samples, seed)
-        samples_used = samples
     return PropertyReport(
         kind="NSP" if tau == 1.0 else "TauNSP",
         order=order,
         constant=gamma,
         tau=tau,
         method="ExactEnumeration" if method == "exact" else "MonteCarloLowerBound",
-        samples=samples_used,
+        samples=0 if method == "exact" else samples,
         elapsed_seconds=time.perf_counter() - t0,
     )
 
@@ -372,8 +364,8 @@ def l1_oracle(phi: SensingMatrix, y: np.ndarray, full_output: bool = False):
 class MinimalityCheck:
     """Outcome of the l1-minimality sign test.
 
-    ``status`` is "Certified", "Violated", or "Inconclusive"; a violation
-    carries a witness kernel vector.
+    ``status`` is "Certified" or "Violated"; a violation carries a witness
+    kernel vector that breaks the sign condition.
     """
 
     status: str
@@ -388,57 +380,23 @@ class MinimalityCheck:
         return self.status == "Violated"
 
 
-def _max_sign_functional(rows: np.ndarray, g: np.ndarray, lift: np.ndarray):
-    """Max of |g . c| over ``{c : ||rows @ c||_1 <= 1}``; (value, witness).
-
-    ``lift`` maps reduced coordinates back to kernel vectors for witness
-    reporting.  A value of ``inf`` means the polytope is unbounded along a
-    direction where the functional is nonzero.
-    """
-    dim = g.size
-    if rows.shape[0] > 0:
-        _, sv, vh = np.linalg.svd(rows, full_matrices=True)
-        rank = int(np.count_nonzero(sv > 1e-12 * max(sv[0], 1.0))) if sv.size else 0
-    else:
-        rank = 0
-        vh = np.eye(dim)
-    if rank < dim:
-        null_basis = vh[rank:].T
-        gn = null_basis.T @ g
-        if np.linalg.norm(gn) > 0:
-            c0 = null_basis @ gn
-            eta = lift @ c0
-            if abs(float(g @ c0)) > 1e-10 * float(np.sum(np.abs(eta))):
-                return math.inf, eta
-        if rank == 0:
-            return 0.0, None
-        q = vh[:rank].T
-        return _max_sign_functional(rows @ q, q.T @ g, lift @ q)
-    dirs = _vertex_directions(rows, dim)
-    scale = np.sum(np.abs(dirs @ rows.T), axis=1)
-    vals = np.abs(dirs @ g) / scale
-    j = int(np.argmax(vals))
-    return float(vals[j]), lift @ (dirs[j] / scale[j])
-
-
 def l1_minimality_check(
-    x: np.ndarray,
-    basis: np.ndarray,
-    samples: int = 20_000,
-    zero_tol: float | None = None,
-    seed: int = 0,
+    x: np.ndarray, basis: np.ndarray, zero_tol: float | None = None
 ) -> MinimalityCheck:
     """Test whether ``x`` has minimal l1 norm on its solution set.
 
-    ``basis`` is the kernel basis from :func:`null_space_basis`.  ``x``
+    ``basis`` is the kernel basis B from :func:`null_space_basis`.  ``x``
     minimizes the l1 norm over ``{z : Phi z = Phi x}`` if and only if
     ``|sum_{x_i != 0} sign(x_i) eta_i| <= sum_{x_i = 0} |eta_i|`` for every
     kernel vector ``eta`` (non-strict inequality suffices for minimality;
-    strictness everywhere governs uniqueness).  The condition is positively
-    homogeneous, so for null-space dimension <= 4 it is checked exactly on
-    the extreme directions of the cross-section polytope; otherwise
-    ``samples`` random directions are tested, giving either a concrete
-    violation witness or an inconclusive report.
+    strictness everywhere governs uniqueness), that is if ``max g . c``
+    over ``||B_off c||_1 <= 1``, with ``g = B^T sign(x)``, is at most 1.
+    One LP finds that maximum exactly in its dual-certificate form,
+    ``min t`` subject to ``B_off^T u = g`` and ``|u_i| <= t`` (Fuchs, IEEE
+    Trans. Inf. Theory 50(6), 2004).  A violation's witness is ``B c`` for
+    the maximizing ``c``, the equality marginals; when the equality has no
+    solution it is ``B r`` for its least-squares residual ``r``, with
+    ``B_off r = 0`` and ``g . r = ||r||^2 > 0``.
     """
     n, dim = basis.shape
     x = np.asarray(x, dtype=float)
@@ -447,16 +405,21 @@ def l1_minimality_check(
     if zero_tol is None:
         zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(x))) if n else 1.0)
     support = np.abs(x) > zero_tol
-    s = np.where(support, np.sign(x), 0.0)
-    if dim <= EXACT_NSP_MAX_DIM:
-        val, witness = _max_sign_functional(basis[~support], basis.T @ s, basis)
-        if val <= 1.0 + 1e-9:
-            return MinimalityCheck("Certified")
-        return MinimalityCheck("Violated", witness)
-    etas = _mc_directions(basis, samples, seed) @ basis.T
-    lhs = np.abs(etas @ s)
-    rhs = np.sum(np.abs(etas[:, ~support]), axis=1)
-    bad = lhs > rhs * (1.0 + 1e-9) + 1e-12 * np.sum(np.abs(etas), axis=1)
-    if np.any(bad):
-        return MinimalityCheck("Violated", etas[int(np.argmax(bad))])
-    return MinimalityCheck("Inconclusive")
+    g = basis.T @ np.where(support, np.sign(x), 0.0)
+    off = basis[~support]
+    p = off.shape[0]
+    # variables (u, t): min t subject to off^T u = g and -t <= u_i <= t
+    cost = np.append(np.zeros(p), 1.0)
+    a_ub = np.block([[np.eye(p), -np.ones((p, 1))], [-np.eye(p), -np.ones((p, 1))]])
+    a_eq = np.hstack([off.T, np.zeros((dim, 1))])
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(2 * p), A_eq=a_eq, b_eq=g,
+                  bounds=[(None, None)] * p + [(0, None)], method="highs-ds",
+                  options={"presolve": False})  # the same HiGHS call as l1_oracle's
+    if res.status == 2:
+        r = g - off.T @ np.linalg.lstsq(off.T, g, rcond=None)[0]
+        return MinimalityCheck("Violated", basis @ r)
+    if res.status != 0:
+        raise IrlsKitError(f"LP solver failed: {res.message}")
+    if res.fun <= 1.0 + 1e-9:
+        return MinimalityCheck("Certified")
+    return MinimalityCheck("Violated", basis @ res.eqlin.marginals)

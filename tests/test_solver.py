@@ -388,3 +388,25 @@ def test_load_result_rejects_missing_and_unknown_keys(tmp_path, block, key, erro
     path.write_text(json.dumps(doc))
     with pytest.raises(error, match=key):
         load_result(path)
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("config", "eps_floor", True),
+        ("config", "max_iters", 2000.5),
+        ("trace", "n", 1.5),
+        ("trace", "eps", "x"),
+        ("doc", "termination", "Bogus"),
+        ("doc", "a_bound", "a"),
+    ],
+)
+def test_load_result_rejects_mistyped_values(tmp_path, block, key, value):
+    rng = np.random.default_rng(14)
+    phi, x_star, y = _random_instance(rng, 6, 14, 2)
+    doc = result_to_dict(irls_run(phi, y, IrlsConfig(K=2)))
+    {"config": doc["config"], "trace": doc["trace"][0], "doc": doc}[block][key] = value
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=key):
+        load_result(path)

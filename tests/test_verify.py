@@ -303,6 +303,8 @@ def test_nsp_exact_dimension_guard():
     assert report.method == "MonteCarloLowerBound"
     with pytest.raises(ValueError):
         nsp_constant(TINY, 1, tau=0.5, method="exact")
+    with pytest.raises(ValueError, match="samples"):
+        nsp_constant(phi, 2, method="montecarlo", samples=-1)
 
 
 @pytest.mark.parametrize("method", ["ExactEnumeration", "Monte-Carlo"])
@@ -503,20 +505,45 @@ def test_l1_oracle_duplicated_column_matches_presolve_objective():
 # --- l1 minimality certificates -------------------------------------------------
 
 
+def _sign_condition_gap(x, eta):
+    """(lhs, rhs) of the sign condition for kernel vector ``eta`` at ``x``,
+    with the check's default zero threshold."""
+    support = np.abs(x) > 1e-12 * max(1.0, float(np.max(np.abs(x))))
+    return abs(float(np.sign(x[support]) @ eta[support])), float(np.sum(np.abs(eta[~support])))
+
+
+def _breaks_sign_condition(x, eta):
+    lhs, rhs = _sign_condition_gap(x, eta)
+    return lhs > rhs
+
+
 def test_minimality_certified_tiny():
     basis = null_space_basis(TINY)
     assert l1_minimality_check(np.array([0.0, 0.0, 1.0]), basis).certified
 
 
 def test_minimality_violated_tiny():
-    basis = null_space_basis(TINY)
-    check = l1_minimality_check(np.array([1.0, 1.0, 0.0]), basis)
+    # the LP finds t = 2; the witness comes from its equality marginals,
+    # which put unit l1 mass off the support
+    x = np.array([1.0, 1.0, 0.0])
+    check = l1_minimality_check(x, null_space_basis(TINY))
     assert check.violated
-    eta = check.witness
-    support = np.array([True, True, False])
-    lhs = abs(np.sum(np.sign([1.0, 1.0, 0.0])[support] * eta[support]))
-    rhs = np.sum(np.abs(eta[~support]))
-    assert lhs > rhs
+    lhs, rhs = _sign_condition_gap(x, check.witness)
+    assert lhs == pytest.approx(2.0, rel=1e-12) and rhs == pytest.approx(1.0, rel=1e-12)
+
+
+def test_minimality_fully_supported_violated():
+    # no off-support rows: the equality has no solution unless g = 0, and
+    # the least-squares residual is the witness
+    x = np.array([1.0, 1.0, 1.0])
+    check = l1_minimality_check(x, null_space_basis(TINY))
+    assert check.violated
+    lhs, rhs = _sign_condition_gap(x, check.witness)
+    assert lhs > 0.0 and rhs == 0.0
+
+
+def test_minimality_zero_certified():
+    assert l1_minimality_check(np.zeros(3), null_space_basis(TINY)).certified
 
 
 def test_minimality_equality_boundary_certified():
@@ -538,18 +565,92 @@ def test_minimality_exact_agrees_with_lp():
         x_other = np.linalg.pinv(phi.entries) @ y  # dense, not l1-minimal
         check = l1_minimality_check(x_other, basis)
         if np.sum(np.abs(x_other)) > np.sum(np.abs(x_min)) * (1 + 1e-9):
-            assert check.violated
+            assert check.violated and _breaks_sign_condition(x_other, check.witness)
 
 
-def test_minimality_sampled_mode():
+def test_minimality_large_kernel():
+    # kernel dimension 8, beyond vertex enumeration: the LP still decides
     rng = np.random.default_rng(11)
-    phi = _gaussian(rng, 4, 12)  # null-space dim 8: sampled mode
+    phi = _gaussian(rng, 4, 12)
     y = rng.normal(size=4)
     basis = null_space_basis(phi)
-    good = l1_minimality_check(l1_oracle(phi, y), basis, samples=5000)
-    assert good.status == "Inconclusive"
-    bad = l1_minimality_check(np.linalg.pinv(phi.entries) @ y, basis, samples=5000)
-    assert bad.violated and bad.witness is not None
+    assert l1_minimality_check(l1_oracle(phi, y), basis).certified
+    x_pinv = np.linalg.pinv(phi.entries) @ y
+    bad = l1_minimality_check(x_pinv, basis)
+    assert bad.violated and _breaks_sign_condition(x_pinv, bad.witness)
+
+
+def test_minimality_certifies_lp_oracle_50x250():
+    rng = np.random.default_rng(19)
+    phi = _gaussian(rng, 50, 250)  # kernel dimension 200
+    x = l1_oracle(phi, rng.normal(size=50))
+    assert l1_minimality_check(x, null_space_basis(phi)).certified
+
+
+def _max_sign_functional(rows, g, lift):
+    """Reference: max of |g . c| over ``{c : ||rows @ c||_1 <= 1}``, kernel
+    dimension <= 4, by recursive rank reduction and vertex enumeration;
+    (value, witness), with ``lift`` mapping reduced coordinates back to
+    kernel vectors.  ``inf`` means the polytope is unbounded along a
+    direction where the functional is nonzero."""
+    dim = g.size
+    if rows.shape[0] > 0:
+        _, sv, vh = np.linalg.svd(rows, full_matrices=True)
+        rank = int(np.count_nonzero(sv > 1e-12 * max(sv[0], 1.0))) if sv.size else 0
+    else:
+        rank = 0
+        vh = np.eye(dim)
+    if rank < dim:
+        null_basis = vh[rank:].T
+        gn = null_basis.T @ g
+        if np.linalg.norm(gn) > 0:
+            c0 = null_basis @ gn
+            eta = lift @ c0
+            if abs(float(g @ c0)) > 1e-10 * float(np.sum(np.abs(eta))):
+                return math.inf, eta
+        if rank == 0:
+            return 0.0, None
+        q = vh[:rank].T
+        return _max_sign_functional(rows @ q, q.T @ g, lift @ q)
+    dirs = _vertex_directions(rows, dim)
+    scale = np.sum(np.abs(dirs @ rows.T), axis=1)
+    vals = np.abs(dirs @ g) / scale
+    j = int(np.argmax(vals))
+    return float(vals[j]), lift @ (dirs[j] / scale[j])
+
+
+@st.composite
+def _minimality_instances(draw):
+    """A Gaussian matrix with kernel dimension 1-4 and an LP-oracle,
+    pseudo-inverse or planted sparse point."""
+    dim = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = _gaussian(rng, m, m + dim)
+    y = rng.normal(size=m)
+    kind = draw(st.sampled_from(["lp", "pinv", "planted"]))
+    if kind == "lp":
+        return phi, l1_oracle(phi, y)
+    if kind == "pinv":
+        return phi, np.linalg.pinv(phi.entries) @ y
+    x = np.zeros(m + dim)
+    k = draw(st.integers(0, m))
+    x[rng.choice(m + dim, size=k, replace=False)] = rng.normal(size=k)
+    return phi, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_minimality_instances())
+def test_minimality_lp_matches_vertex_reference(instance):
+    phi, x = instance
+    basis = null_space_basis(phi)
+    support = np.abs(x) > 1e-12 * max(1.0, float(np.max(np.abs(x))))
+    ref, _ = _max_sign_functional(basis[~support], basis.T @ np.where(support, np.sign(x), 0.0), basis)
+    assume(abs(ref - (1.0 + 1e-9)) > 1e-10)
+    check = l1_minimality_check(x, basis)
+    assert check.certified == (ref <= 1.0 + 1e-9)
+    if check.violated:
+        assert _breaks_sign_condition(x, check.witness)
 
 
 # --- oracle chain on certified tiny instances -----------------------------------
