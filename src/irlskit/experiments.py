@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from .errors import SchemaMismatchError
-from .linalg import SensingMatrix, _fmt
+from .linalg import SensingMatrix
 from .solver import (
     IrlsConfig,
     IterationRecord,
@@ -356,7 +356,7 @@ def _write_csv(path, columns: dict, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:  # csv writes None as an empty cell
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
 
 
 def _read_csv(path, columns: dict) -> list[dict]:

@@ -177,15 +177,12 @@ def weighted_ls_solve(phi: SensingMatrix, y: np.ndarray, w: np.ndarray) -> np.nd
 # output uses 17 significant digits.
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def _write_rows(path, header: str, rows: list) -> None:
+def _write_rows(path, header: str, a: np.ndarray) -> None:
+    line = " ".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(" ".join(map(_fmt, row)) + "\n")
+        for row in a.tolist():
+            fh.write(line % tuple(row))
 
 
 def _read_rows(path, header_names: str) -> np.ndarray:
@@ -217,7 +214,7 @@ def _read_rows(path, header_names: str) -> np.ndarray:
 
 def write_matrix(path, a: np.ndarray) -> None:
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    _write_rows(path, f"{a.shape[0]} {a.shape[1]}", a.tolist())
+    _write_rows(path, f"{a.shape[0]} {a.shape[1]}", a)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -226,7 +223,7 @@ def read_matrix(path) -> np.ndarray:
 
 def write_vector(path, v: np.ndarray) -> None:
     v = np.asarray(v, dtype=float).ravel()
-    _write_rows(path, f"{v.size}", [v.tolist()])
+    _write_rows(path, f"{v.size}", v[None, :])
 
 
 def read_vector(path) -> np.ndarray:

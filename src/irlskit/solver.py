@@ -400,6 +400,8 @@ def load_result(path) -> RecoveryResult:
         raise ValueError(f"key 'termination': unknown reason {doc['termination']!r}")
     if not _json_fits(a_bound, float | None):
         raise ValueError(f"key 'a_bound': {a_bound!r} is not a number or null")
+    if not _json_fits(doc["x_final"], list[float]):
+        raise ValueError(f"key 'x_final': {doc['x_final']!r} is not a list of numbers")
     return RecoveryResult(
         x_final=np.array(doc["x_final"], dtype=float),
         termination=doc["termination"],

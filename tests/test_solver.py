@@ -399,6 +399,9 @@ def test_load_result_rejects_missing_and_unknown_keys(tmp_path, block, key, erro
         ("trace", "eps", "x"),
         ("doc", "termination", "Bogus"),
         ("doc", "a_bound", "a"),
+        ("doc", "x_final", [True, 1.5]),
+        ("doc", "x_final", [0.5, "1.5"]),
+        ("doc", "x_final", 1.5),
     ],
 )
 def test_load_result_rejects_mistyped_values(tmp_path, block, key, value):

@@ -127,6 +127,71 @@ def test_rip_matches_svd_reference(instance):
     assert abs(rip_constant(phi, order).constant - ref) <= 1e-12 * max(1.0, ref)
 
 
+def _rip_unscreened(phi, order):
+    """Reference: the Gram-eigenvalue enumeration with its SVD guard on every
+    support, without the Gershgorin screen."""
+    delta = 0.0
+    for idx in _support_chunks(phi.shape[1], order):
+        sub = np.moveaxis(phi.entries[:, idx], 1, 0)
+        lam = np.linalg.eigvalsh(sub.transpose(0, 2, 1) @ sub)
+        sv = np.sqrt(np.maximum(lam, 0.0))
+        near = lam[:, 0] < 1e-6 * lam[:, -1]
+        if np.any(near):
+            sv[near] = np.linalg.svd(sub[near], compute_uv=False)[:, ::-1]
+        delta = max(delta, float(np.max(sv[:, -1] - 1.0)), float(np.max(1.0 - sv[:, 0])))
+    return delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rip_instances())
+def test_rip_screen_matches_unscreened_enumeration(instance):
+    phi, order = instance
+    assert rip_constant(phi, order).constant == _rip_unscreened(phi, order)
+
+
+def test_rip_screen_skips_most_supports(monkeypatch):
+    phi = _gaussian(np.random.default_rng(41), 16, 30)
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        rows.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    delta = rip_constant(phi, 3).constant
+    assert 0 < sum(rows) < math.comb(30, 3) / 2
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert delta == _rip_unscreened(phi, 3)
+
+
+@pytest.mark.parametrize("seed", [10, 11, 33, 49])
+def test_rip_screen_keeps_near_singular_supports(seed):
+    # two equal-norm column pairs rotated by 5e-9 (columns 0, 1) and 1e-9
+    # (columns 38, 39): the later pair sets delta, but the Gershgorin
+    # lower bound on its sigma_min, from the rounded Gram, can come out
+    # about 1e-8 above the true value, so the screen must leave the SVD
+    # guard's supports alone
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=(20, 40))
+    p /= np.linalg.norm(p, axis=0)
+    for cols, theta in (([0, 1], 5e-9), ([38, 39], 1e-9)):
+        q = np.linalg.qr(rng.normal(size=(20, 2)))[0]
+        p[:, cols] = np.stack([q[:, 0], np.cos(theta) * q[:, 0] + np.sin(theta) * q[:, 1]], axis=1)
+    phi = SensingMatrix(p)
+    delta = rip_constant(phi, 2).constant
+    assert delta == _rip_unscreened(phi, 2)
+    assert abs(delta - _rip_svd_reference(phi, 2)) <= 1e-12
+
+
+def test_rip_order_near_n():
+    # C(40, 38) = 780 supports; the enumeration holds one 512-row block
+    phi = _gaussian(np.random.default_rng(43), 38, 40)
+    delta = rip_constant(phi, 38).constant
+    assert delta == _rip_unscreened(phi, 38)
+    assert abs(delta - _rip_svd_reference(phi, 38)) <= 1e-12
+
+
 def test_rip_svd_guard_catches_parallel_columns():
     # columns 0 and 1 are parallel, so sigma_min = 0 on their pair; from
     # the Gram eigenvalue alone it comes out near sqrt(u) instead
@@ -422,7 +487,35 @@ def test_sparse_oracle_singular_grams_match_loop():
         assert abs(residual - ref_residual) <= 1e-12
 
 
-@pytest.mark.parametrize("n,k", [(5, 1), (600, 1), (8, 3), (12, 4), (20, 3)])
+def test_sparse_oracle_gaussian_matches_loop():
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        phi = _gaussian(rng, 16, 32)
+        x = np.zeros(32)
+        x[rng.choice(32, size=3, replace=False)] = rng.normal(size=3)
+        for y in (phi.entries @ x, rng.normal(size=16)):
+            support, x_hat, residual = sparse_oracle(phi, y, 3)
+            ref_support, ref_x, ref_residual = _sparse_oracle_loop(phi, y, 3)
+            assert support == ref_support
+            assert np.max(np.abs(x_hat - ref_x)) <= 1e-12
+            assert abs(residual - ref_residual) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [39, 40])
+def test_sparse_oracle_k_near_n(k):
+    # every support of 39 or 40 columns spans R^20, so all residuals are
+    # rounding-level ties and the first support wins
+    rng = np.random.default_rng(47)
+    phi = _gaussian(rng, 20, 40)
+    y = rng.normal(size=20)
+    support, x, residual = sparse_oracle(phi, y, k)
+    assert support == _sparse_oracle_loop(phi, y, k)[0] == tuple(range(k))
+    assert residual <= 1e-10 and np.linalg.norm(phi.entries @ x - y) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "n,k", [(5, 1), (600, 1), (8, 3), (12, 4), (20, 3), (30, 3), (32, 3), (16, 6), (7, 7)]
+)
 def test_support_chunks_follow_combinations_order(n, k):
     blocks = list(_support_chunks(n, k))
     assert [len(b) for b in blocks[:-1]] == [512] * (len(blocks) - 1)
