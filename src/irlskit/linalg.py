@@ -113,10 +113,8 @@ def null_space_basis(phi: SensingMatrix) -> np.ndarray:
     if sv[0] > 0 and np.count_nonzero(sv > RANK_RTOL * sv[0]) < m:
         raise RankDeficientError("matrix lost full row rank")
     basis = vh[m:].T.copy()
-    for j in range(basis.shape[1]):
-        lead = int(np.argmax(np.abs(basis[:, j])))
-        if basis[lead, j] < 0:
-            basis[:, j] = -basis[:, j]
+    lead = np.argmax(np.abs(basis), axis=0)  # the first index on ties
+    np.negative(basis, out=basis, where=basis[lead, np.arange(n - m)] < 0)
     basis.flags.writeable = False
     return basis
 

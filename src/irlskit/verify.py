@@ -1,7 +1,9 @@
 """Ground-truth oracles and matrix-property checkers.
 
-RIP constants and the sparse oracle enumerate supports and read what
-they need of each support's Gram from one ``Phi^T Phi``.  RIP skips a
+RIP constants and the sparse oracle enumerate supports in lex order,
+built by array prefix extension from O(N k) state (reverse-lex
+complements when k > N/2), and read what they need of each support's
+Gram from one ``Phi^T Phi``.  RIP skips a
 support whose Gershgorin bounds cannot reach the running delta (less a
 rounding margin) and that the SVD guard below could not take, which
 saves work when columns are incoherent; the rest take their singular
@@ -25,7 +27,7 @@ Carlo lower bound instead; honest reporting beats silent approximation.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -77,14 +79,37 @@ class PropertyReport:
 
 
 def _support_chunks(n: int, k: int, chunk: int = 512):
-    it = itertools.combinations(range(n), k)
-    while True:
-        block = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(it, chunk)), dtype=int
-        )
-        if not block.size:
-            return
-        yield block.reshape(-1, k)
+    """The k-subsets of range(n) in lex order, in blocks of ``chunk`` rows."""
+
+    def batches(prefix, lo):  # the j-subsets extending prefix by an element >= lo
+        p, runs = len(prefix) + 1, []
+        for c in range(lo, n - j + p):  # runs a..c of next elements, C(n-a, j-p+1) - C(n-1-c, j-p+1) rows
+            if not runs or math.comb(n - runs[-1][0], j - p + 1) - math.comb(n - 1 - c, j - p + 1) > cap:
+                runs.append([])
+            runs[-1].append(c)
+        for nxt in runs[::-1] if comp else runs:
+            if math.comb(n - 1 - nxt[0], j - p) > cap:  # a single next element: split by the one after it
+                yield from batches(prefix + (nxt[0],), nxt[0] + 1)
+                continue
+            rows = np.array([(*prefix, c) for c in nxt])
+            for q in range(p, j):  # repeat each prefix once per next element that leaves room to complete
+                cnt = n - j + q - rows[:, -1]
+                new = np.repeat(rows[:, -1] + 1 + cnt - np.cumsum(cnt), cnt) + np.arange(cnt.sum())
+                rows = np.column_stack([np.repeat(rows, cnt, axis=0), new])
+            yield rows[::-1] if comp else rows
+
+    comp = n > k > n / 2  # lex order on k-subsets is reverse lex order on their complements
+    j, cap = n - k if comp else k, max(chunk, 2**14 // k)  # at most 2**14 indices a batch
+    rest = np.empty((0, k), dtype=int)
+    for rows in batches((), 0):
+        if comp:  # the elements of range(n) that each row leaves out
+            keep = np.ones((len(rows), n), dtype=bool)
+            np.put_along_axis(keep, rows, False, axis=1)
+            rows = np.broadcast_to(np.arange(n), keep.shape)[keep].reshape(-1, k)
+        *full, rest = np.split(np.concatenate([rest, rows]), range(chunk, len(rest) + len(rows) + 1, chunk))
+        yield from full
+    if len(rest):
+        yield rest
 
 
 def rip_constant(phi: SensingMatrix, order: int, budget: int = RIP_SUPPORT_BUDGET) -> PropertyReport:
@@ -149,6 +174,14 @@ def rip_to_nsp_bound(delta: float, j: int, j_prime: int) -> float:
     return (1.0 + delta) / (1.0 - delta) * math.sqrt(j / j_prime)
 
 
+@functools.cache
+def _subset_columns(n: int, k: int) -> np.ndarray:
+    """Read-only columns of the k-subset table; exact NSP needs at most C(16, 3) = 560 rows."""
+    cols = np.concatenate(list(_support_chunks(n, k))).T
+    cols.flags.writeable = False
+    return cols
+
+
 def _vertex_directions(rows: np.ndarray, dim: int) -> np.ndarray:
     """Candidate vertex directions of ``{c : ||rows @ c||_1 <= 1}``, dim <= 4.
 
@@ -164,11 +197,7 @@ def _vertex_directions(rows: np.ndarray, dim: int) -> np.ndarray:
     """
     if dim == 1:
         return np.ones((1, 1))
-    subs = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(rows.shape[0]), dim - 1)),
-        dtype=int,
-    ).reshape(-1, dim - 1)
-    r = [rows[subs[:, i]] for i in range(dim - 1)]  # dim-1 arrays of (n_sub, dim)
+    r = [rows[s] for s in _subset_columns(rows.shape[0], dim - 1)]  # dim-1 arrays of (n_sub, dim)
     if dim == 2:
         dirs = np.stack([r[0][:, 1], -r[0][:, 0]], axis=1)
     elif dim == 3:
@@ -177,7 +206,7 @@ def _vertex_directions(rows: np.ndarray, dim: int) -> np.ndarray:
         a, b, c = r
         p = {  # 2x2 minors of the first two rows on columns (i, j)
             (i, j): a[:, i] * b[:, j] - a[:, j] * b[:, i]
-            for i, j in itertools.combinations(range(4), 2)
+            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         }
         # third-row expansion of each 3x3 minor
         dirs = np.stack([
@@ -224,12 +253,10 @@ def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, seed: int
     n, dim = basis.shape
     rng = np.random.Generator(np.random.Philox(key=seed))
     extremes = basis / np.maximum(np.linalg.norm(basis, axis=1, keepdims=True), 1e-300)
-    blocks = itertools.chain(
-        (rng.normal(size=(min(4096, samples - i), dim)) for i in range(0, samples, 4096)),
-        [np.vstack([extremes, np.eye(dim)])],
-    )
+    tail = np.vstack([extremes, np.eye(dim)])  # scanned after the normals
     best = 0.0
-    for block in blocks:
+    for i in range(0, samples + 4096, 4096):
+        block = rng.normal(size=(min(4096, samples - i), dim)) if i < samples else tail
         a = block @ basis.T
         np.abs(a, out=a)
         if tau != 1.0:

@@ -138,6 +138,44 @@ def test_null_space_basis_deterministic():
     assert np.array_equal(b1, b2)
 
 
+def _signs_by_column(basis):
+    """Reference: the per-column sign loop, largest magnitude (first on ties) made positive."""
+    basis = basis.copy()
+    for j in range(basis.shape[1]):
+        lead = int(np.argmax(np.abs(basis[:, j])))
+        if basis[lead, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_null_space_basis_signs_match_column_loop(m, extra, seed):
+    entries = np.random.default_rng(seed).normal(size=(m, m + extra))
+    basis = null_space_basis(SensingMatrix(entries))
+    assert np.array_equal(basis, _signs_by_column(np.linalg.svd(entries)[2][m:].T))
+
+
+def test_null_space_basis_signs_on_tied_magnitudes(monkeypatch):
+    # kernel rows of V^T whose largest magnitudes tie between entries of opposite sign
+    vh = np.array([
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [-0.5, 0.5, -0.5, 0.5, 0.0],
+        [0.5, -0.5, 0.0, 0.5, -0.5],
+        [0.0, -0.25, 0.25, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    monkeypatch.setattr(np.linalg, "svd", lambda a: (np.eye(1), np.ones(1), vh))
+    basis = null_space_basis(SensingMatrix([[1.0, 2.0, 3.0, 4.0, 5.0]]))
+    assert np.array_equal(basis, _signs_by_column(vh[1:].T))
+    assert basis.T.tolist() == [
+        [0.5, -0.5, 0.5, -0.5, 0.0],  # the first of four tied entries was negative
+        [0.5, -0.5, 0.0, 0.5, -0.5],
+        [0.0, 0.25, -0.25, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+
+
 def test_weighted_ls_symmetric():
     phi = SensingMatrix([[1.0, 1.0]])
     x = weighted_ls_solve(phi, np.array([2.0]), np.array([1.0, 1.0]))

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irlskit import verify
@@ -163,6 +164,15 @@ def test_rip_screen_skips_most_supports(monkeypatch):
     assert 0 < sum(rows) < math.comb(30, 3) / 2
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     assert delta == _rip_unscreened(phi, 3)
+
+
+def test_rip_screen_exact_on_coherent_columns():
+    # each column a shared random vector plus half as much noise, normalised:
+    # Gershgorin row sums stay far above delta, so the screen skips almost nothing
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=(16, 1)) + 0.5 * rng.normal(size=(16, 30))
+    phi = SensingMatrix(p / np.linalg.norm(p, axis=0))
+    assert rip_constant(phi, 3).constant == _rip_unscreened(phi, 3)
 
 
 @pytest.mark.parametrize("seed", [10, 11, 33, 49])
@@ -824,3 +834,38 @@ def test_rip_bound_dominates_exact_nsp():
             applicable += 1
             assert rip_to_nsp_bound(delta, j, jp) >= profile[j - 1] - 1e-12
     assert applicable > 0
+
+
+@st.composite
+def _binomials(draw):
+    n = draw(st.integers(1, 40))
+    return n, draw(st.sampled_from([k for k in range(1, n + 1) if math.comb(n, k) <= 100_000]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_binomials())
+@example((7, 7)).via("k = n")
+@example((40, 40)).via("k = n")
+@example((40, 36)).via("k > n/2, several blocks")
+@example((17, 9)).via("k > n/2, many blocks")
+def test_support_chunks_match_combinations(nk):
+    n, k = nk
+    rows = itertools.combinations(range(n), k)
+    for block in _support_chunks(n, k):
+        assert block.dtype == np.dtype(int)
+        assert block.tolist() == [list(c) for c in itertools.islice(rows, 512)]
+    assert next(rows, None) is None
+
+
+def test_support_chunks_hold_a_few_blocks():
+    # C(60, 30) ~ 1.2e17 rows: the first blocks come without building the rest
+    tracemalloc.start()
+    try:
+        blocks = _support_chunks(60, 30)
+        first = [next(blocks) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    rows = itertools.combinations(range(60), 30)
+    assert np.vstack(first).tolist() == [list(c) for c in itertools.islice(rows, 3 * 512)]
