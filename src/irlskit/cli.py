@@ -19,6 +19,8 @@ from .experiments import (
     run_phase_transition,
     run_trace,
     write_phase_csv,
+    write_ratios_csv,
+    write_trace_csv,
 )
 from .linalg import read_sensing_matrix, read_vector
 from .plotting import PLOT_KINDS, emit_plot
@@ -117,7 +119,7 @@ def _cmd_recover(args) -> int:
     )
     result = irls_run(phi, y, cfg)
     if args.K is None:
-        print(f"K = {result.resolved_K} (heuristic default)")
+        print(f"K = {result.config.K} (heuristic default)")
     save_result(result, args.out)
     print(f"termination: {result.termination}")
     print(f"wrote {args.out}")
@@ -177,7 +179,9 @@ def _cmd_trace(args) -> int:
         suffix = f"tau{tau:g}".replace(".", "p")
         trace_csv = os.path.join(args.out, f"trace_{suffix}.csv")
         ratios_csv = os.path.join(args.out, f"ratios_{suffix}.csv")
-        study = run_trace(cfg, tau, trace_csv=trace_csv, ratios_csv=ratios_csv)
+        study = run_trace(cfg, tau)
+        write_trace_csv(study.result, trace_csv)
+        write_ratios_csv(study.diagnostics, ratios_csv)
         print(
             f"{study.tag}: {study.result.iterations} iterations, "
             f"termination {study.result.termination}"

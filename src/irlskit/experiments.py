@@ -19,7 +19,7 @@ import json
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -38,8 +38,8 @@ from .solver import (
 )
 from .sparsity import rearrangement
 
-#: generator identity recorded in outputs (bit streams are stable for a
-#: fixed numpy version; Philox itself is specified exactly)
+#: generator identity, recorded by the benchmark for provenance (bit streams
+#: are stable for a fixed numpy version; Philox itself is specified exactly)
 RNG_ID = f"numpy-{np.__version__}-philox-blake2b-v1"
 
 
@@ -162,9 +162,6 @@ class ExperimentConfig:
             return default_sparsity_order(self.m, self.N)
         return int(self.K_policy)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """From a JSON object; ``ValueError`` names an unknown or mistyped key."""
@@ -189,9 +186,7 @@ def method_tag(tau: float) -> str:
 @dataclass(frozen=True)
 class TrialRecord:
     trial_index: int
-    seed: int
     success: bool
-    rel_error_l1: float
     iterations: int
     termination: str
 
@@ -207,8 +202,6 @@ class PhaseCell:
 @dataclass
 class PhaseTransitionTable:
     rows: dict
-    config: ExperimentConfig
-    rng_id: str = RNG_ID
 
 
 def _solver_config(cfg: ExperimentConfig, tau: float, K: int) -> IrlsConfig:
@@ -248,9 +241,7 @@ def rerun_trial(cfg: ExperimentConfig, k: int, tau: float, trial_index: int) -> 
         rel = 0.0 if err == 0.0 else np.inf
     return TrialRecord(
         trial_index,
-        vector_seed,
         bool(rel <= cfg.success_tol),
-        rel,
         result.iterations,
         result.termination,
     )
@@ -290,7 +281,7 @@ def run_phase_transition(
             success_rate=succ / len(recs),
             mean_iters=float(np.mean([r.iterations for r in recs])),
         )
-    return PhaseTransitionTable(rows=rows, config=cfg)
+    return PhaseTransitionTable(rows=rows)
 
 
 @dataclass
@@ -301,21 +292,13 @@ class TraceStudy:
     diagnostics: list
     planted: np.ndarray
     tag: str
-    matrix_seed: int
-    vector_seed: int
-    rng_id: str = RNG_ID
 
 
-def run_trace(
-    cfg: ExperimentConfig,
-    tau: float,
-    trace_csv=None,
-    ratios_csv=None,
-) -> TraceStudy:
+def run_trace(cfg: ExperimentConfig, tau: float) -> TraceStudy:
     """Run one seeded instance, tracing reference errors and rate ratios.
 
     The planted vector (``cfg.gap_ratio`` aware) is kept as the reference;
-    CSV files are written when paths are given.
+    :func:`write_trace_csv` and :func:`write_ratios_csv` write the study.
     """
     matrix_seed = derive_seed(cfg.master_seed, "matrix")
     vector_seed = derive_seed(cfg.master_seed, "vector")
@@ -325,19 +308,12 @@ def run_trace(
     y = dgemv(1.0, phi.entries.T, planted, trans=1)
     result = irls_run(phi, y, solver_cfg, x_ref=planted)
     diagnostics = rate_diagnostics(result, planted, tau) if result.trace else []
-    study = TraceStudy(
+    return TraceStudy(
         result=result,
         diagnostics=diagnostics,
         planted=planted,
         tag=method_tag(tau),
-        matrix_seed=matrix_seed,
-        vector_seed=vector_seed,
     )
-    if trace_csv is not None:
-        write_trace_csv(result, trace_csv)
-    if ratios_csv is not None:
-        write_ratios_csv(diagnostics, ratios_csv)
-    return study
 
 
 # --- CSV schemas -------------------------------------------------------------

@@ -42,6 +42,13 @@ def _as_float_array(a, name: str) -> np.ndarray:
     return arr
 
 
+def _as_float_vector(a, name: str, n: int) -> np.ndarray:
+    arr = _as_float_array(a, name)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+    return arr
+
+
 @dataclass(frozen=True)
 class SensingMatrix:
     """Dense m-by-N measurement matrix with m < N and full row rank.
@@ -79,10 +86,6 @@ class SensingMatrix:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
 
     @property
     def cols(self) -> int:
@@ -138,13 +141,9 @@ def weighted_ls_solve(phi: SensingMatrix, y: np.ndarray, w: np.ndarray) -> np.nd
     non-positive pivot or the LAPACK condition estimate of the system
     exceeds ``COND_LIMIT``.
     """
-    y = _as_float_array(y, "y")
-    w = _as_float_array(w, "w")
     m, n = phi.shape
-    if y.shape != (m,):
-        raise ValueError(f"y must have shape ({m},), got {y.shape}")
-    if w.shape != (n,):
-        raise ValueError(f"w must have shape ({n},), got {w.shape}")
+    y = _as_float_vector(y, "y", m)
+    w = _as_float_vector(w, "w", n)
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
     d = 1.0 / w

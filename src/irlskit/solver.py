@@ -14,7 +14,7 @@ targets the minimum-l1 solution; for ``tau < 1`` it targets the
 warm-start phase run at ``tau = 1``.
 
 :func:`irls_run` is the one loop: it holds x, w, eps and n as locals,
-resolves K once per run and calls the step functions defined here.
+resolves its config once per run and calls the step functions defined here.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import IllConditionedError, MissingReferenceError
-from .linalg import SensingMatrix, weighted_ls_solve
+from .linalg import SensingMatrix, _as_float_vector, weighted_ls_solve
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -114,9 +114,9 @@ class RecoveryResult:
 
     ``a_bound`` is the surrogate value of the first iterate against the
     initial weights and smoothing parameter; it bounds every later iterate's
-    l1 norm (tau-th-power norm for tau < 1).  ``iterates`` retains the full
-    iterate history when requested (needed by tau < 1 rate diagnostics);
-    it is never serialized.
+    l1 norm (tau-th-power norm for tau < 1).  ``config`` is the config the
+    run used, with ``K`` and ``warmstart_iters`` resolved.  ``iterates`` is
+    the iterate history of a run given ``x_ref``; it is never serialized.
     """
 
     x_final: np.ndarray
@@ -124,7 +124,6 @@ class RecoveryResult:
     trace: list[IterationRecord]
     a_bound: float
     config: IrlsConfig
-    resolved_K: int
     iterates: list[np.ndarray] | None = None
 
     @property
@@ -195,7 +194,6 @@ def irls_run(
     y: np.ndarray,
     cfg: IrlsConfig,
     x_ref: np.ndarray | None = None,
-    keep_iterates: bool = False,
 ) -> RecoveryResult:
     """Run the iteration from unit weights and eps = 1 until termination.
 
@@ -208,15 +206,17 @@ def irls_run(
     (MaxIters).  An ill-conditioned inner solve terminates the run with
     reason IllConditioned; the result up to that point is still returned.
 
-    The iterate history is retained when ``keep_iterates`` is set or
-    ``x_ref`` is given; with ``x_ref`` the per-iteration l1 reference
-    errors are recorded as well.
+    The result carries ``cfg`` with K and the warm start resolved.  Given
+    a finite reference ``x_ref`` of shape (N,), the run records the
+    per-iteration l1 reference errors and retains its iterate history.
     """
     y = np.asarray(y, dtype=float)
-    k_order = cfg.resolve_K(phi)
+    cfg = replace(cfg, K=cfg.resolve_K(phi), warmstart_iters=cfg.warmstart)
+    if x_ref is not None:
+        x_ref = _as_float_vector(x_ref, "x_ref", phi.cols)
     x, w, eps, n = np.zeros(phi.cols), np.ones(phi.cols), 1.0, 0
     trace: list[IterationRecord] = []
-    iterates: list[np.ndarray] | None = [] if keep_iterates or x_ref is not None else None
+    iterates: list[np.ndarray] | None = None if x_ref is None else []
     a_bound = math.nan
     while True:
         try:
@@ -225,10 +225,10 @@ def irls_run(
             termination = "IllConditioned"
             break
         n += 1
-        tau_n = 1.0 if n < cfg.warmstart else cfg.tau
+        tau_n = 1.0 if n < cfg.warmstart_iters else cfg.tau
         if n == 1:
             a_bound = surrogate_value(x_next, w, eps, tau_n)
-        eps = epsilon_update(eps, x_next, k_order)
+        eps = epsilon_update(eps, x_next, cfg.K)
         step_l1 = float(np.sum(np.abs(x_next - x)))
         x = x_next
         ref_err = float(np.sum(np.abs(x - x_ref))) if x_ref is not None else None
@@ -254,7 +254,6 @@ def irls_run(
         trace=trace,
         a_bound=a_bound,
         config=cfg,
-        resolved_K=k_order,
         iterates=iterates,
     )
 
@@ -269,13 +268,13 @@ def rate_diagnostics(
     below ``1e3 * machine_eps * sum |ref_i|**tau`` are omitted.
 
     The run must have retained its iterates: :func:`irls_run` keeps them
-    when given ``x_ref`` or ``keep_iterates=True``.
+    when given ``x_ref``.  ``x_ref`` must be finite and of shape (N,).
     """
     if not 0 < tau <= 1:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
     if result.iterates is None:
         raise MissingReferenceError("need a run that retained its iterates")
-    x_ref = np.asarray(x_ref, dtype=float)
+    x_ref = _as_float_vector(x_ref, "x_ref", result.x_final.size)
     errors = [float(np.sum(np.abs(x - x_ref) ** tau)) for x in result.iterates]
     floor = 1e3 * np.finfo(float).eps * float(np.sum(np.abs(x_ref) ** tau))
     out = []
@@ -343,12 +342,11 @@ def result_to_dict(result: RecoveryResult) -> dict:
     """Versioned JSON document for a RecoveryResult.
 
     Field names are fixed by ``schemas/recovery_result.schema.json``.  The
-    config block records the K and warm start the run resolved.
+    config block is the resolved config the run used.
     """
-    cfg = result.config
     return {
         "schema_version": RESULT_SCHEMA_VERSION,
-        "config": asdict(replace(cfg, K=result.resolved_K, warmstart_iters=cfg.warmstart)),
+        "config": asdict(result.config),
         "termination": result.termination,
         "a_bound": result.a_bound if math.isfinite(result.a_bound) else None,
         "x_final": [float(v) for v in result.x_final],
@@ -408,7 +406,6 @@ def load_result(path) -> RecoveryResult:
         trace=trace,
         a_bound=math.nan if a_bound is None else a_bound,
         config=cfg,
-        resolved_K=cfg.K,
     )
 
 

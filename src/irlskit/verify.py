@@ -41,7 +41,7 @@ from .errors import (
     InfeasibleError,
     IrlsKitError,
 )
-from .linalg import SensingMatrix, _as_float_array, null_space_basis
+from .linalg import SensingMatrix, _as_float_vector, null_space_basis
 
 EXACT_NSP_MAX_DIM = 4
 EXACT_NSP_MAX_COLS = 16
@@ -112,7 +112,7 @@ def _support_chunks(n: int, k: int, chunk: int = 512):
         yield rest
 
 
-def rip_constant(phi: SensingMatrix, order: int, budget: int = RIP_SUPPORT_BUDGET) -> PropertyReport:
+def rip_constant(phi: SensingMatrix, order: int) -> PropertyReport:
     """Restricted-isometry constant of the given order by full enumeration.
 
     delta = max over column supports T with |T| = order of
@@ -125,9 +125,9 @@ def rip_constant(phi: SensingMatrix, order: int, budget: int = RIP_SUPPORT_BUDGE
     if not 1 <= order <= m:
         raise ValueError(f"order must be in [1, m={m}], got {order}")
     n_supports = math.comb(n, order)
-    if n_supports > budget:
+    if n_supports > RIP_SUPPORT_BUDGET:
         raise BudgetExceededError(
-            f"C({n},{order}) = {n_supports} supports exceeds budget {budget}"
+            f"C({n},{order}) = {n_supports} supports exceeds budget {RIP_SUPPORT_BUDGET}"
         )
     t0 = time.perf_counter()
     delta = 0.0
@@ -318,7 +318,7 @@ def nsp_constant(
 
 
 def sparse_oracle(
-    phi: SensingMatrix, y: np.ndarray, k: int, budget: int = SPARSE_ORACLE_BUDGET
+    phi: SensingMatrix, y: np.ndarray, k: int
 ) -> tuple[tuple[int, ...], np.ndarray, float]:
     """Best k-sparse least-squares fit by exhaustive support enumeration.
 
@@ -327,15 +327,13 @@ def sparse_oracle(
     lexicographically smallest support.  Support indices are zero-based.
     """
     m, n = phi.shape
-    y = _as_float_array(y, "y")
-    if y.shape != (m,):
-        raise ValueError(f"y must have shape ({m},), got {y.shape}")
+    y = _as_float_vector(y, "y", m)
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     n_supports = math.comb(n, k)
-    if n_supports > budget:
+    if n_supports > SPARSE_ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"C({n},{k}) = {n_supports} supports exceeds budget {budget}"
+            f"C({n},{k}) = {n_supports} supports exceeds budget {SPARSE_ORACLE_BUDGET}"
         )
     if k == 0:
         return (), np.zeros(n), float(np.linalg.norm(y))

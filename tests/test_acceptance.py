@@ -79,7 +79,7 @@ def random_suite():
         y = phi.entries @ x_star
         cfg = IrlsConfig(K=k, tau=tau, warmstart_iters=0, max_iters=250)
         t0 = time.perf_counter()
-        result = irls_run(phi, y, cfg, keep_iterates=True)
+        result = irls_run(phi, y, cfg, x_ref=x_star)
         values = [rec.surrogate for rec in result.trace]
         stats["mono_violations"] += sum(
             1 for a, b in zip(values, values[1:]) if b > a * (1.0 + 1e-10)

@@ -99,7 +99,7 @@ def test_config_validation_and_json(tmp_path):
             ExperimentConfig(m=10, N=20, k=2, **{key: value})
     cfg = ExperimentConfig(m=10, N=20, k=2, tau_list=[1.0, 0.5], trials=3, master_seed=9)
     path = tmp_path / "cfg.json"
-    path.write_text(__import__("json").dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     loaded = ExperimentConfig.from_json_file(path)
     assert loaded == cfg
     assert cfg.resolve_K(2) == 2
@@ -249,7 +249,9 @@ def test_trace_study_and_csv(tmp_path):
     cfg = ExperimentConfig(m=10, N=25, k=2, master_seed=5, max_iters=200)
     trace_path = tmp_path / "trace.csv"
     ratios_path = tmp_path / "ratios.csv"
-    study = run_trace(cfg, tau=1.0, trace_csv=trace_path, ratios_csv=ratios_path)
+    study = run_trace(cfg, tau=1.0)
+    write_trace_csv(study.result, trace_path)
+    write_ratios_csv(study.diagnostics, ratios_path)
     assert study.result.trace[-1].ref_error_l1 is not None
     rows = read_trace_csv(trace_path)
     assert len(rows) == study.result.iterations
@@ -266,10 +268,10 @@ def test_trace_study_and_csv(tmp_path):
 
 _TRACE_CHILD = """
 import sys
-from irlskit.experiments import ExperimentConfig, run_trace
+from irlskit.experiments import ExperimentConfig, run_trace, write_trace_csv
 cfg = ExperimentConfig(m=50, N=250, k=8, master_seed=1)
 for tau in (1.0, 0.6):
-    run_trace(cfg, tau, trace_csv=f"{sys.argv[1]}/trace-{tau}.csv")
+    write_trace_csv(run_trace(cfg, tau).result, f"{sys.argv[1]}/trace-{tau}.csv")
 """
 
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from irlskit.experiments import (
-    ExperimentConfig,
     PhaseCell,
     PhaseTransitionTable,
     read_phase_csv,
@@ -45,16 +44,14 @@ RESULT = RecoveryResult(
     termination="EpsHitFloor",
     trace=TRACE,
     a_bound=17.75,
-    config=IrlsConfig(tau=0.6),
-    resolved_K=3,
+    config=IrlsConfig(K=3, tau=0.6, warmstart_iters=10),
 )
 ILL_RESULT = RecoveryResult(
     x_final=np.zeros(3),
     termination="IllConditioned",
     trace=[],
     a_bound=float("nan"),
-    config=IrlsConfig(K=2, max_iters=50, eps_floor=1e-13),
-    resolved_K=2,
+    config=IrlsConfig(K=2, warmstart_iters=0, max_iters=50, eps_floor=1e-13),
 )
 RATIOS = [(1, 0.5, 0.7), (2, 1 / 3, 2.0**-40), (3, 1e-5, 123.0)]
 PHASE = PhaseTransitionTable(
@@ -64,7 +61,6 @@ PHASE = PhaseTransitionTable(
         (4, "hybrid-tau0.6"): PhaseCell(10, 0, 0.0, 2000.0),
         (0, "tau1"): PhaseCell(10, 10, 1.0, 1 / 3),
     },
-    config=ExperimentConfig(m=20, N=50, k=4),
 )
 
 WRITERS = {

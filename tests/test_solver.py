@@ -211,7 +211,7 @@ def test_irls_run_eps_monotone_and_warmstart_switch():
     rng = np.random.default_rng(12)
     phi, x_star, y = _random_instance(rng, 10, 30, 3)
     cfg = IrlsConfig(K=3, tau=0.5, warmstart_iters=5, max_iters=60)
-    result = irls_run(phi, y, cfg, keep_iterates=True)
+    result = irls_run(phi, y, cfg, x_ref=x_star)
     # the recorded surrogate is the smoothed objective at the exponent that
     # iteration re-weights with, so that exponent can be read back from it
     taus = []
@@ -269,8 +269,7 @@ def test_rate_diagnostics_geometric():
         termination="MaxIters",
         trace=trace,
         a_bound=1.0,
-        config=IrlsConfig(K=1),
-        resolved_K=1,
+        config=IrlsConfig(K=1, warmstart_iters=0),
         iterates=iterates,
     )
     diags = rate_diagnostics(result, ref, tau=1.0)
@@ -294,7 +293,6 @@ def test_rate_diagnostics_superlinear_exponent():
         trace=trace,
         a_bound=1.0,
         config=IrlsConfig(K=1, tau=tau, warmstart_iters=0),
-        resolved_K=1,
         iterates=iterates,
     )
     diags = rate_diagnostics(result, np.zeros(1), tau=tau)
@@ -313,8 +311,7 @@ def test_rate_diagnostics_omits_tiny_errors():
         termination="MaxIters",
         trace=trace,
         a_bound=1.0,
-        config=IrlsConfig(K=1),
-        resolved_K=1,
+        config=IrlsConfig(K=1, warmstart_iters=0),
         iterates=iterates,
     )
     assert rate_diagnostics(result, ref) == []
@@ -325,6 +322,33 @@ def test_rate_diagnostics_requires_reference():
     result = irls_run(phi, np.array([2.0]), IrlsConfig(K=1))
     with pytest.raises(MissingReferenceError):
         rate_diagnostics(result, np.zeros(2), tau=0.5)
+
+
+@pytest.mark.parametrize(
+    "x_ref, match",
+    [
+        (np.array([0.0]), r"shape \(12,\)"),
+        (np.full(12, np.nan), "finite"),
+        (np.zeros((12, 1)), "shape"),
+    ],
+)
+def test_irls_run_rejects_bad_reference(x_ref, match):
+    rng = np.random.default_rng(16)
+    phi, x_star, y = _random_instance(rng, 6, 12, 2)
+    with pytest.raises(ValueError, match=match):
+        irls_run(phi, y, IrlsConfig(K=2), x_ref=x_ref)
+
+
+@pytest.mark.parametrize(
+    "x_ref, match", [(np.array([0.0]), r"shape \(12,\)"), (np.full(12, np.inf), "finite")]
+)
+def test_rate_diagnostics_rejects_bad_reference(x_ref, match):
+    rng = np.random.default_rng(16)
+    phi, x_star, y = _random_instance(rng, 6, 12, 2)
+    result = irls_run(phi, y, IrlsConfig(K=2), x_ref=x_star)
+    assert rate_diagnostics(result, x_star)  # the retained iterates are usable
+    with pytest.raises(ValueError, match=match):
+        rate_diagnostics(result, x_ref)
 
 
 def test_theoretical_contraction_factor_linear():
@@ -369,6 +393,17 @@ def test_result_json_roundtrip(tmp_path):
     assert len(loaded.trace) == len(result.trace)
     assert loaded.trace[-1].eps == result.trace[-1].eps
     assert json.loads(path.read_text())["schema_version"] == 1
+
+
+def test_result_config_is_resolved_and_round_trips(tmp_path):
+    rng = np.random.default_rng(15)
+    phi, x_star, y = _random_instance(rng, 12, 40, 2)
+    result = irls_run(phi, y, IrlsConfig(tau=0.6))
+    assert result.config.K == default_sparsity_order(12, 40)
+    assert result.config.warmstart_iters == 10
+    path = tmp_path / "result.json"
+    save_result(result, path)
+    assert load_result(path).config == result.config
 
 
 @pytest.mark.parametrize(

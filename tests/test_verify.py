@@ -68,11 +68,16 @@ def test_rip_nondecreasing_in_order():
     assert deltas[0] <= deltas[1] + 1e-12 <= deltas[2] + 2e-12
 
 
-def test_rip_budget():
+def _no_enumeration(n, k):
+    raise AssertionError("enumerated supports past the budget")
+
+
+def test_rip_budget(monkeypatch):
     rng = np.random.default_rng(2)
-    phi = _gaussian(rng, 6, 12)
-    with pytest.raises(BudgetExceededError):
-        rip_constant(phi, 3, budget=10)
+    phi = _gaussian(rng, 12, 60)  # C(60, 6) = 5.0e7 supports
+    monkeypatch.setattr(verify, "_support_chunks", _no_enumeration)
+    with pytest.raises(BudgetExceededError, match="exceeds budget 2000000"):
+        rip_constant(phi, 6)
 
 
 def _rip_svd_reference(phi, order):
@@ -534,11 +539,12 @@ def test_support_chunks_follow_combinations_order(n, k):
     assert np.vstack(blocks).tolist() == [list(c) for c in itertools.combinations(range(n), k)]
 
 
-def test_sparse_oracle_budget():
+def test_sparse_oracle_budget(monkeypatch):
     rng = np.random.default_rng(8)
-    phi = _gaussian(rng, 6, 12)
-    with pytest.raises(BudgetExceededError):
-        sparse_oracle(phi, rng.normal(size=6), 3, budget=5)
+    phi = _gaussian(rng, 6, 40)  # C(40, 6) = 3.8e6 supports
+    monkeypatch.setattr(verify, "_support_chunks", _no_enumeration)
+    with pytest.raises(BudgetExceededError, match="exceeds budget 1000000"):
+        sparse_oracle(phi, rng.normal(size=6), 6)
 
 
 # --- LP l1 oracle --------------------------------------------------------------
