@@ -19,7 +19,6 @@ from .errors import (
 )
 from .experiments import (
     ExperimentConfig,
-    PhaseTransitionTable,
     TraceStudy,
     TrialRecord,
     gen_gaussian_matrix,
@@ -70,7 +69,6 @@ __all__ = [
     "IterationRecord",
     "MinimalityCheck",
     "MissingReferenceError",
-    "PhaseTransitionTable",
     "PropertyReport",
     "RankDeficientError",
     "RecoveryResult",

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .errors import IrlsKitError
 from .experiments import (
@@ -22,7 +23,7 @@ from .experiments import (
     write_ratios_csv,
     write_trace_csv,
 )
-from .linalg import read_sensing_matrix, read_vector
+from .linalg import SensingMatrix, read_matrix, read_vector
 from .plotting import PLOT_KINDS, emit_plot
 from .solver import IrlsConfig, irls_run, save_result
 from .verify import l1_oracle, nsp_constant, rip_constant, sparse_oracle
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_recover(args) -> int:
-    phi = read_sensing_matrix(args.matrix)
+    phi = SensingMatrix(read_matrix(args.matrix))
     y = read_vector(args.rhs)
     cfg = IrlsConfig(
         K=args.K,
@@ -127,7 +128,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    phi = read_sensing_matrix(args.matrix)
+    phi = SensingMatrix(read_matrix(args.matrix))
     if args.rip is not None:
         report = rip_constant(phi, args.rip)
     else:
@@ -140,21 +141,21 @@ def _cmd_check(args) -> int:
             seed=args.seed,
         )
     print(report.summary())
-    print(json.dumps(report.to_dict()))
+    print(json.dumps(asdict(report)))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    phi = read_sensing_matrix(args.matrix)
+    phi = SensingMatrix(read_matrix(args.matrix))
     y = read_vector(args.rhs)
     if args.l1:
-        x, details = l1_oracle(phi, y, full_output=True)
+        x, maybe_nonunique = l1_oracle(phi, y, full_output=True)
         print(
             json.dumps(
                 {
                     "x": [float(v) for v in x],
                     "l1_norm": float(sum(abs(v) for v in x)),
-                    "maybe_nonunique": details["maybe_nonunique"],
+                    "maybe_nonunique": maybe_nonunique,
                 }
             )
         )
@@ -194,11 +195,11 @@ def _cmd_trace(args) -> int:
 def _cmd_phase(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     os.makedirs(args.out, exist_ok=True)
-    table = run_phase_transition(cfg)
+    cells = run_phase_transition(cfg)
     out_path = os.path.join(args.out, "phase.csv")
-    write_phase_csv(table, out_path)
-    for (k, tag) in sorted(table.rows):
-        cell = table.rows[(k, tag)]
+    write_phase_csv(cells, out_path)
+    for (k, tag) in sorted(cells):
+        cell = cells[(k, tag)]
         print(f"k={k} {tag}: {cell.successes}/{cell.trials} ({cell.success_rate:.3f})")
     print(f"wrote {out_path}")
     return 0

@@ -199,11 +199,6 @@ class PhaseCell:
     mean_iters: float
 
 
-@dataclass
-class PhaseTransitionTable:
-    rows: dict
-
-
 def _solver_config(cfg: ExperimentConfig, tau: float, K: int) -> IrlsConfig:
     return IrlsConfig(
         K=K,
@@ -249,8 +244,8 @@ def rerun_trial(cfg: ExperimentConfig, k: int, tau: float, trial_index: int) -> 
 
 def run_phase_transition(
     cfg: ExperimentConfig, n_workers: int | None = None
-) -> PhaseTransitionTable:
-    """Success-rate table over sparsity levels and solver methods.
+) -> dict[tuple[int, str], PhaseCell]:
+    """Success-rate cells over sparsity levels and solver methods, keyed ``(k, method_tag(tau))``.
 
     One measurement matrix per table by default (seeded from the master
     seed); ``per_trial_matrix=True`` regenerates the matrix for every
@@ -281,7 +276,7 @@ def run_phase_transition(
             success_rate=succ / len(recs),
             mean_iters=float(np.mean([r.iterations for r in recs])),
         )
-    return PhaseTransitionTable(rows=rows)
+    return rows
 
 
 @dataclass
@@ -374,8 +369,8 @@ def read_ratios_csv(path) -> list[dict]:
     return _read_csv(path, RATIOS_CSV_COLUMNS)
 
 
-def write_phase_csv(table: PhaseTransitionTable, path) -> None:
-    rows = [(k, tag, *astuple(table.rows[(k, tag)])) for k, tag in sorted(table.rows)]
+def write_phase_csv(cells: dict[tuple[int, str], PhaseCell], path) -> None:
+    rows = [(k, tag, *astuple(cells[(k, tag)])) for k, tag in sorted(cells)]
     _write_csv(path, PHASE_CSV_COLUMNS, rows)
 
 

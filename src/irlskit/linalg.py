@@ -225,7 +225,3 @@ def write_vector(path, v: np.ndarray) -> None:
 
 def read_vector(path) -> np.ndarray:
     return _read_rows(path, "N")[0]
-
-
-def read_sensing_matrix(path) -> SensingMatrix:
-    return SensingMatrix(read_matrix(path))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -48,6 +48,7 @@ EXACT_NSP_MAX_COLS = 16
 RIP_SUPPORT_BUDGET = 2_000_000
 SPARSE_ORACLE_BUDGET = 1_000_000
 L1_ORACLE_MAX_COLS = 2000
+_CHUNK = 512  # rows per block of enumerated supports
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -66,9 +67,6 @@ class PropertyReport:
     samples: int
     elapsed_seconds: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def summary(self) -> str:
         name = "delta" if self.kind == "RIP" else "gamma"
         tau_note = "" if self.kind != "TauNSP" else f", tau={self.tau:g}"
@@ -78,8 +76,8 @@ class PropertyReport:
         )
 
 
-def _support_chunks(n: int, k: int, chunk: int = 512):
-    """The k-subsets of range(n) in lex order, in blocks of ``chunk`` rows."""
+def _support_chunks(n: int, k: int):
+    """The k-subsets of range(n) in lex order, in blocks of ``_CHUNK`` rows."""
 
     def batches(prefix, lo):  # the j-subsets extending prefix by an element >= lo
         p, runs = len(prefix) + 1, []
@@ -99,14 +97,14 @@ def _support_chunks(n: int, k: int, chunk: int = 512):
             yield rows[::-1] if comp else rows
 
     comp = n > k > n / 2  # lex order on k-subsets is reverse lex order on their complements
-    j, cap = n - k if comp else k, max(chunk, 2**14 // k)  # at most 2**14 indices a batch
+    j, cap = n - k if comp else k, max(_CHUNK, 2**14 // k)  # at most 2**14 indices a batch
     rest = np.empty((0, k), dtype=int)
     for rows in batches((), 0):
         if comp:  # the elements of range(n) that each row leaves out
             keep = np.ones((len(rows), n), dtype=bool)
             np.put_along_axis(keep, rows, False, axis=1)
             rows = np.broadcast_to(np.arange(n), keep.shape)[keep].reshape(-1, k)
-        *full, rest = np.split(np.concatenate([rest, rows]), range(chunk, len(rest) + len(rows) + 1, chunk))
+        *full, rest = np.split(np.concatenate([rest, rows]), range(_CHUNK, len(rest) + len(rows) + 1, _CHUNK))
         yield from full
     if len(rest):
         yield rest
@@ -376,15 +374,16 @@ def l1_oracle(phi: SensingMatrix, y: np.ndarray, full_output: bool = False):
     Solves the split-variable program ``min sum(u + v)`` subject to
     ``Phi (u - v) = y``, ``u, v >= 0`` with a dual-simplex method
     (anti-cycling rules built in), so the returned point is a vertex of
-    the solution polytope.  With ``full_output=True`` also returns a
-    dict with the objective and a best-effort ``maybe_nonunique`` flag
-    (zero reduced cost detected on a nonbasic variable; degeneracy can
-    trip this flag, it is not a certificate).
+    the solution polytope.  ``full_output=True`` returns ``(x, maybe_nonunique)``.
+    The flag marks a zero entry of x with zero reduced cost.  A vertex with
+    fewer than m nonzeros (primal-degenerate) mostly keeps such an entry in
+    its basis, so the flag is set on most sparse instances, unique minimizers
+    included.  It certifies nothing; :func:`l1_minimality_check` decides.
     """
     m, n = phi.shape
     if n > L1_ORACLE_MAX_COLS:
         raise ValueError(f"l1 oracle limited to N <= {L1_ORACLE_MAX_COLS}")
-    y = np.asarray(y, dtype=float)
+    y = _as_float_vector(y, "y", m)
     cost = np.ones(2 * n)
     a_eq = np.hstack([phi.entries, -phi.entries])
     res = linprog(cost, A_eq=a_eq, b_eq=y, bounds=(0, None), method="highs-ds",
@@ -402,7 +401,7 @@ def l1_oracle(phi: SensingMatrix, y: np.ndarray, full_output: bool = False):
     maybe_nonunique = bool(
         np.any(inactive & ((np.abs(1.0 - rc) < 1e-10) | (np.abs(1.0 + rc) < 1e-10)))
     )
-    return x, {"objective": float(res.fun), "maybe_nonunique": maybe_nonunique}
+    return x, maybe_nonunique
 
 
 @dataclass(frozen=True)
@@ -416,18 +415,8 @@ class MinimalityCheck:
     status: str
     witness: np.ndarray | None = None
 
-    @property
-    def certified(self) -> bool:
-        return self.status == "Certified"
 
-    @property
-    def violated(self) -> bool:
-        return self.status == "Violated"
-
-
-def l1_minimality_check(
-    x: np.ndarray, basis: np.ndarray, zero_tol: float | None = None
-) -> MinimalityCheck:
+def l1_minimality_check(x: np.ndarray, basis: np.ndarray) -> MinimalityCheck:
     """Test whether ``x`` has minimal l1 norm on its solution set.
 
     ``basis`` is the kernel basis B from :func:`null_space_basis`.  ``x``
@@ -441,14 +430,12 @@ def l1_minimality_check(
     Trans. Inf. Theory 50(6), 2004).  A violation's witness is ``B c`` for
     the maximizing ``c``, the equality marginals; when the equality has no
     solution it is ``B r`` for its least-squares residual ``r``, with
-    ``B_off r = 0`` and ``g . r = ||r||^2 > 0``.
+    ``B_off r = 0`` and ``g . r = ||r||^2 > 0``.  Entries of ``x`` at most
+    ``1e-12 max(1, max |x_i|)`` in magnitude count as zero.
     """
     n, dim = basis.shape
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x must have shape ({n},), got {x.shape}")
-    if zero_tol is None:
-        zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(x))) if n else 1.0)
+    x = _as_float_vector(x, "x", n)
+    zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(x))) if n else 1.0)
     support = np.abs(x) > zero_tol
     g = basis.T @ np.where(support, np.sign(x), 0.0)
     off = basis[~support]

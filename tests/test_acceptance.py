@@ -346,8 +346,8 @@ def test_acceptance_8_phase_transition():
         max_iters=500,
     )
     table = run_phase_transition(cfg)
-    r1 = {k: table.rows[(k, "tau1")].success_rate for k in cfg.k_list}
-    rh = {k: table.rows[(k, "hybrid-tau0.5")].success_rate for k in cfg.k_list}
+    r1 = {k: table[(k, "tau1")].success_rate for k in cfg.k_list}
+    rh = {k: table[(k, "hybrid-tau0.5")].success_rate for k in cfg.k_list}
     dominance = True
     for k in cfg.k_list:
         se = math.sqrt(

@@ -97,6 +97,31 @@ def test_oracle_sparse_and_l1(tiny_files, capsys):
     assert doc["l1_norm"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_oracle_l1_reports_tie(tmp_path, capsys):
+    # [1 1] x = 2: every (t, 2 - t) with t in [0, 2] has l1 norm 2
+    matrix, rhs = tmp_path / "phi.mat", tmp_path / "y.vec"
+    write_matrix(matrix, [[1.0, 1.0]])
+    write_vector(rhs, [2.0])
+    assert main(["oracle", "--matrix", str(matrix), "--rhs", str(rhs), "--l1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"x", "l1_norm", "maybe_nonunique"}
+    assert doc["l1_norm"] == 2.0
+    assert doc["maybe_nonunique"] is True
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [("2\n1 nan\n", "y must have finite entries"), ("3\n1 1 1\n", "y must have shape (2,)")],
+    ids=["nan", "length"],
+)
+def test_oracle_l1_rejects_bad_rhs(tiny_files, capsys, body, message):
+    matrix, rhs = tiny_files
+    Path(rhs).write_text(body)
+    assert main(["oracle", "--matrix", matrix, "--rhs", rhs, "--l1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_oracle_rejects_nonfinite_rhs(tiny_files, capsys):
     matrix, rhs = tiny_files
     Path(rhs).write_text("2\n1 nan\n")

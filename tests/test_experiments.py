@@ -182,21 +182,21 @@ def small_phase_table():
 
 def test_phase_table_shape(small_phase_table):
     cfg, table = small_phase_table
-    assert set(table.rows) == {(0, "tau1"), (0, "hybrid-tau0.5"), (2, "tau1"), (2, "hybrid-tau0.5")}
-    for cell in table.rows.values():
+    assert set(table) == {(0, "tau1"), (0, "hybrid-tau0.5"), (2, "tau1"), (2, "hybrid-tau0.5")}
+    for cell in table.values():
         assert cell.trials == 5
         assert cell.success_rate == cell.successes / cell.trials
 
 
 def test_phase_zero_sparsity_always_succeeds(small_phase_table):
     cfg, table = small_phase_table
-    assert table.rows[(0, "tau1")].success_rate == 1.0
+    assert table[(0, "tau1")].success_rate == 1.0
 
 
 def test_phase_determinism(small_phase_table):
     cfg, table = small_phase_table
     again = run_phase_transition(cfg, n_workers=1)
-    assert again.rows == table.rows
+    assert again == table
 
 
 @pytest.mark.parametrize(
@@ -217,14 +217,14 @@ def test_phase_per_cell_reproducibility(small_phase_table, per_trial_matrix):
                 float(np.mean([r.iterations for r in records])),
             )
     assert rebuilt == {
-        key: (cell.successes, cell.mean_iters) for key, cell in table.rows.items()
+        key: (cell.successes, cell.mean_iters) for key, cell in table.items()
     }
 
 
 def test_phase_parallel_matches_serial(small_phase_table):
     cfg, table = small_phase_table
     parallel = run_phase_transition(cfg, n_workers=2)
-    assert parallel.rows == table.rows
+    assert parallel == table
 
 
 def test_method_tags():
@@ -239,7 +239,7 @@ def test_phase_csv_roundtrip(small_phase_table, tmp_path):
     rows = read_phase_csv(path)
     assert len(rows) == 4
     byk = {(r["k"], r["method"]): r for r in rows}
-    for key, cell in table.rows.items():
+    for key, cell in table.items():
         assert byk[key]["successes"] == cell.successes
         assert byk[key]["success_rate"] == cell.success_rate
         assert byk[key]["mean_iters"] == cell.mean_iters

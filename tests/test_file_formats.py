@@ -14,7 +14,6 @@ import pytest
 
 from irlskit.experiments import (
     PhaseCell,
-    PhaseTransitionTable,
     read_phase_csv,
     read_ratios_csv,
     read_trace_csv,
@@ -54,14 +53,12 @@ ILL_RESULT = RecoveryResult(
     config=IrlsConfig(K=2, warmstart_iters=0, max_iters=50, eps_floor=1e-13),
 )
 RATIOS = [(1, 0.5, 0.7), (2, 1 / 3, 2.0**-40), (3, 1e-5, 123.0)]
-PHASE = PhaseTransitionTable(
-    rows={
-        (4, "tau1"): PhaseCell(10, 3, 0.3, 41.7),
-        (0, "hybrid-tau0.6"): PhaseCell(10, 10, 1.0, 1.0),
-        (4, "hybrid-tau0.6"): PhaseCell(10, 0, 0.0, 2000.0),
-        (0, "tau1"): PhaseCell(10, 10, 1.0, 1 / 3),
-    },
-)
+PHASE = {
+    (4, "tau1"): PhaseCell(10, 3, 0.3, 41.7),
+    (0, "hybrid-tau0.6"): PhaseCell(10, 10, 1.0, 1.0),
+    (4, "hybrid-tau0.6"): PhaseCell(10, 0, 0.0, 2000.0),
+    (0, "tau1"): PhaseCell(10, 10, 1.0, 1 / 3),
+}
 
 WRITERS = {
     "phi.mat": lambda path: write_matrix(path, MATRIX),

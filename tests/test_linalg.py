@@ -18,7 +18,6 @@ from irlskit import linalg
 from irlskit.linalg import (
     RANK_RTOL,
     read_matrix,
-    read_sensing_matrix,
     read_vector,
     write_matrix,
     write_vector,
@@ -406,5 +405,5 @@ def test_readers_reject_malformed_text(case):
 def test_read_sensing_matrix(tmp_path):
     path = tmp_path / "phi.mat"
     write_matrix(path, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    phi = read_sensing_matrix(path)
+    phi = SensingMatrix(read_matrix(path))
     assert phi.shape == (2, 3)

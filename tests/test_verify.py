@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -395,7 +396,7 @@ def test_nsp_method_names_are_exact(method):
 
 def test_nsp_report_json_fields():
     report = nsp_constant(TINY, 1)
-    doc = report.to_dict()
+    doc = dataclasses.asdict(report)
     assert set(doc) == {"kind", "order", "constant", "tau", "method", "samples", "elapsed_seconds"}
 
 
@@ -557,11 +558,21 @@ def test_l1_oracle_tiny():
 
 def test_l1_oracle_degenerate_tie():
     phi = SensingMatrix([[1.0, 1.0]])
-    x, details = l1_oracle(phi, np.array([2.0]), full_output=True)
+    x, maybe_nonunique = l1_oracle(phi, np.array([2.0]), full_output=True)
     assert np.sum(np.abs(x)) == pytest.approx(2.0, abs=1e-10)
     # a vertex: one of (2, 0) / (0, 2)
     assert np.min(np.abs(x)) == pytest.approx(0.0, abs=1e-10)
-    assert details["maybe_nonunique"] is True
+    assert maybe_nonunique is True
+
+
+@pytest.mark.parametrize(
+    "y,message",
+    [([np.nan], "y must have finite entries"), ([1.0, 2.0], r"y must have shape \(1,\)")],
+    ids=["nan", "length"],
+)
+def test_l1_oracle_checks_y(y, message):
+    with pytest.raises(ValueError, match=message):
+        l1_oracle(SensingMatrix([[1.0, 1.0]]), np.array(y))
 
 
 def test_l1_oracle_beats_dense_candidates():
@@ -605,9 +616,9 @@ def test_l1_oracle_duplicated_column_matches_presolve_objective():
     p[:, 7] = p[:, 3]
     phi = SensingMatrix(p)
     for y in (p[:, [3, 10, 20]] @ [1.0, -0.5, 2.0], rng.normal(size=20)):
-        x, details = l1_oracle(phi, y, full_output=True)
+        x = l1_oracle(phi, y)
         _, ref_objective = _l1_presolve_reference(phi, y)
-        assert details["objective"] == pytest.approx(ref_objective, rel=1e-10)
+        assert np.sum(np.abs(x)) == pytest.approx(ref_objective, rel=1e-10)
         assert np.linalg.norm(p @ x - y) <= 1e-9 * np.linalg.norm(y)
 
 
@@ -628,7 +639,7 @@ def _breaks_sign_condition(x, eta):
 
 def test_minimality_certified_tiny():
     basis = null_space_basis(TINY)
-    assert l1_minimality_check(np.array([0.0, 0.0, 1.0]), basis).certified
+    assert l1_minimality_check(np.array([0.0, 0.0, 1.0]), basis).status == "Certified"
 
 
 def test_minimality_violated_tiny():
@@ -636,7 +647,7 @@ def test_minimality_violated_tiny():
     # which put unit l1 mass off the support
     x = np.array([1.0, 1.0, 0.0])
     check = l1_minimality_check(x, null_space_basis(TINY))
-    assert check.violated
+    assert check.status == "Violated"
     lhs, rhs = _sign_condition_gap(x, check.witness)
     assert lhs == pytest.approx(2.0, rel=1e-12) and rhs == pytest.approx(1.0, rel=1e-12)
 
@@ -646,13 +657,13 @@ def test_minimality_fully_supported_violated():
     # the least-squares residual is the witness
     x = np.array([1.0, 1.0, 1.0])
     check = l1_minimality_check(x, null_space_basis(TINY))
-    assert check.violated
+    assert check.status == "Violated"
     lhs, rhs = _sign_condition_gap(x, check.witness)
     assert lhs > 0.0 and rhs == 0.0
 
 
 def test_minimality_zero_certified():
-    assert l1_minimality_check(np.zeros(3), null_space_basis(TINY)).certified
+    assert l1_minimality_check(np.zeros(3), null_space_basis(TINY)).status == "Certified"
 
 
 def test_minimality_equality_boundary_certified():
@@ -660,7 +671,16 @@ def test_minimality_equality_boundary_certified():
     # condition and is a (non-unique) minimizer
     phi = SensingMatrix([[1.0, -1.0]])
     basis = null_space_basis(phi)
-    assert l1_minimality_check(np.array([1.0, 0.0]), basis).certified
+    assert l1_minimality_check(np.array([1.0, 0.0]), basis).status == "Certified"
+
+
+@pytest.mark.parametrize(
+    "x", [np.full(12, np.nan), np.where(np.arange(12) == 3, np.inf, 0.0)], ids=["all_nan", "one_inf"]
+)
+def test_minimality_rejects_nonfinite_x(x):
+    basis = null_space_basis(_gaussian(np.random.default_rng(6), 6, 12))
+    with pytest.raises(ValueError, match="x must have finite entries"):
+        l1_minimality_check(x, basis)
 
 
 def test_minimality_exact_agrees_with_lp():
@@ -670,11 +690,11 @@ def test_minimality_exact_agrees_with_lp():
         y = rng.normal(size=8)
         basis = null_space_basis(phi)
         x_min = l1_oracle(phi, y)
-        assert l1_minimality_check(x_min, basis).certified
+        assert l1_minimality_check(x_min, basis).status == "Certified"
         x_other = np.linalg.pinv(phi.entries) @ y  # dense, not l1-minimal
         check = l1_minimality_check(x_other, basis)
         if np.sum(np.abs(x_other)) > np.sum(np.abs(x_min)) * (1 + 1e-9):
-            assert check.violated and _breaks_sign_condition(x_other, check.witness)
+            assert check.status == "Violated" and _breaks_sign_condition(x_other, check.witness)
 
 
 def test_minimality_large_kernel():
@@ -683,17 +703,17 @@ def test_minimality_large_kernel():
     phi = _gaussian(rng, 4, 12)
     y = rng.normal(size=4)
     basis = null_space_basis(phi)
-    assert l1_minimality_check(l1_oracle(phi, y), basis).certified
+    assert l1_minimality_check(l1_oracle(phi, y), basis).status == "Certified"
     x_pinv = np.linalg.pinv(phi.entries) @ y
     bad = l1_minimality_check(x_pinv, basis)
-    assert bad.violated and _breaks_sign_condition(x_pinv, bad.witness)
+    assert bad.status == "Violated" and _breaks_sign_condition(x_pinv, bad.witness)
 
 
 def test_minimality_certifies_lp_oracle_50x250():
     rng = np.random.default_rng(19)
     phi = _gaussian(rng, 50, 250)  # kernel dimension 200
     x = l1_oracle(phi, rng.normal(size=50))
-    assert l1_minimality_check(x, null_space_basis(phi)).certified
+    assert l1_minimality_check(x, null_space_basis(phi)).status == "Certified"
 
 
 def _max_sign_functional(rows, g, lift):
@@ -757,8 +777,8 @@ def test_minimality_lp_matches_vertex_reference(instance):
     ref, _ = _max_sign_functional(basis[~support], basis.T @ np.where(support, np.sign(x), 0.0), basis)
     assume(abs(ref - (1.0 + 1e-9)) > 1e-10)
     check = l1_minimality_check(x, basis)
-    assert check.certified == (ref <= 1.0 + 1e-9)
-    if check.violated:
+    assert (check.status == "Certified") == (ref <= 1.0 + 1e-9)
+    if check.status == "Violated":
         assert _breaks_sign_condition(x, check.witness)
 
 
@@ -793,10 +813,11 @@ def test_oracle_chain_tiny_certified():
         assert np.sum(np.abs(x_lp - x_star)) <= 1e-6
         assert np.sum(np.abs(result.x_final - x_star)) <= 1e-6
         basis = null_space_basis(phi)
-        assert l1_minimality_check(x_star, basis).certified
+        assert l1_minimality_check(x_star, basis).status == "Certified"
         # the converged iterate is near-sparse; with the residual junk below
-        # the zero threshold it passes the same certificate
-        assert l1_minimality_check(result.x_final, basis, zero_tol=1e-5).certified
+        # 1e-5 set to zero it passes the same certificate
+        x_near = np.where(np.abs(result.x_final) > 1e-5, result.x_final, 0.0)
+        assert l1_minimality_check(x_near, basis).status == "Certified"
 
 
 def test_reverse_triangle_inequality():
