@@ -120,9 +120,10 @@ class ExperimentConfig:
     ``k`` is the planted sparsity for single-instance traces; phase
     transitions sweep ``k_list`` (defaulting to ``[k]``).  ``K_policy``
     selects the solver's sparsity order per trial: "EqualsPlantedK",
-    "Heuristic", or an explicit integer.  ``warmstart_iters`` applies to
-    the hybrid (tau < 1) methods in ``tau_list``.  A field whose value
-    does not fit its type (see ``solver._json_fits``) raises ``ValueError``.
+    "Heuristic", or an integer K with 1 <= K < N.  ``warmstart_iters``
+    applies to the hybrid (tau < 1) methods in ``tau_list``.  A field that
+    does not fit its type (see ``solver._json_fits``), or a solver setting
+    ``IrlsConfig`` rejects, raises ``ValueError`` before any trial runs.
     """
 
     m: int
@@ -147,19 +148,17 @@ class ExperimentConfig:
             raise ValueError(f"need k <= m < N, got k={self.k}, m={self.m}, N={self.N}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if any(not 0 < t <= 1 for t in self.tau_list):
-            raise ValueError("tau_list entries must be in (0, 1]")
-        if isinstance(self.K_policy, str) and self.K_policy not in (
-            "EqualsPlantedK",
-            "Heuristic",
-        ):
-            raise ValueError(f"unknown K_policy {self.K_policy!r}")
+        K = self.resolve_K(self.k)  # checks K_policy
+        for tau in self.tau_list:  # the solver's rules, met before any trial runs
+            _solver_config(self, tau, K)
 
     def resolve_K(self, planted_k: int) -> int:
         if self.K_policy == "EqualsPlantedK":
             return max(1, planted_k)
         if self.K_policy == "Heuristic":
             return default_sparsity_order(self.m, self.N)
+        if isinstance(self.K_policy, str) or not 1 <= self.K_policy < self.N:
+            raise ValueError(f"unknown K_policy {self.K_policy!r}, not a name or an integer in [1, N)")
         return int(self.K_policy)
 
     @classmethod

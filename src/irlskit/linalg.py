@@ -35,18 +35,26 @@ RANK_RTOL = 1e-12
 COND_LIMIT = 1e14
 
 
-def _as_float_array(a, name: str) -> np.ndarray:
+def _as_float_array(a, name: str, ndim: int | None = None) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():  # the method, not np.all: less dispatch on the hot path
         raise ValueError(f"{name} must have finite entries")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-d array, got shape {arr.shape}")
     return arr
 
 
-def _as_float_vector(a, name: str, n: int) -> np.ndarray:
-    arr = _as_float_array(a, name)
-    if arr.shape != (n,):
+def _as_float_vector(a, name: str, n: int | None = None) -> np.ndarray:
+    """Finite 1-d float array, of length ``n`` when given."""
+    arr = _as_float_array(a, name, 1)
+    if n is not None and arr.size != n:
         raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
     return arr
+
+
+def _check_tau(tau: float) -> None:
+    if not 0 < tau <= 1:
+        raise ValueError(f"tau must be in (0, 1], got {tau}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +71,7 @@ class SensingMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_array(self.entries, "entries")
-        if arr.ndim != 2:
-            raise ValueError("entries must be a 2-d array")
+        arr = _as_float_array(self.entries, "entries", 2)
         m, n = arr.shape
         if not 0 < m < n:
             raise ValueError(f"need 0 < m < N, got shape {arr.shape}")
@@ -145,7 +151,7 @@ def weighted_ls_solve(phi: SensingMatrix, y: np.ndarray, w: np.ndarray) -> np.nd
     y = _as_float_vector(y, "y", m)
     w = _as_float_vector(w, "w", n)
     if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
+        raise ValueError("w must be strictly positive")
     d = 1.0 / w
     # (Phi D^(1/2))^T is an F-contiguous view, so dsyrk copies nothing.
     upper = dsyrk(1.0, (phi.entries * np.sqrt(d)).T, trans=1)

@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import IllConditionedError, MissingReferenceError
-from .linalg import SensingMatrix, _as_float_vector, weighted_ls_solve
+from .linalg import SensingMatrix, _as_float_vector, _check_tau, weighted_ls_solve
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -76,8 +76,7 @@ class IrlsConfig:
     def __post_init__(self):
         if self.K is not None and self.K < 1:
             raise ValueError("K must be a positive integer")
-        if not 0 < self.tau <= 1:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
+        _check_tau(self.tau)
         if self.warmstart_iters is not None and self.warmstart_iters < 0:
             raise ValueError("warmstart_iters must be non-negative")
         if self.max_iters < 1:
@@ -137,12 +136,11 @@ def surrogate_value(z: np.ndarray, w: np.ndarray, eps: float, tau: float = 1.0) 
     (tau/2) * [sum z_j^2 w_j + sum (eps^2 w_j + ((2-tau)/tau) w_j^(-tau/(2-tau)))].
     At tau = 1 this is (1/2) [sum z_j^2 w_j + sum (eps^2 w_j + 1/w_j)].
     """
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
+    z = _as_float_vector(z, "z")
+    w = _as_float_vector(w, "w", z.size)
     if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+        raise ValueError("w must be strictly positive")
+    _check_tau(tau)
     quad = float(np.sum(z * z * w))
     reg = float(eps * eps * np.sum(w) + ((2.0 - tau) / tau) * np.sum(w ** (-tau / (2.0 - tau))))
     return 0.5 * tau * (quad + reg)
@@ -154,22 +152,20 @@ def smoothed_objective(z: np.ndarray, eps: float, tau: float = 1.0) -> float:
     Minimizing over w > 0 of the surrogate at fixed (z, eps) lands exactly
     here; at tau = 1, eps = 0 it is the l1 norm.
     """
-    z = np.asarray(z, dtype=float)
+    z = _as_float_vector(z, "z")
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    _check_tau(tau)
     return float(np.sum((z * z + eps * eps) ** (0.5 * tau)))
 
 
 def optimal_weights(x: np.ndarray, eps: float, tau: float = 1.0) -> np.ndarray:
     """Weights minimizing the surrogate at fixed (x, eps):
     ``w_j = (x_j^2 + eps^2) ** (-(2 - tau) / 2)``."""
-    x = np.asarray(x, dtype=float)
+    x = _as_float_vector(x, "x")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    _check_tau(tau)
     return (x * x + eps * eps) ** (-0.5 * (2.0 - tau))
 
 
@@ -179,7 +175,7 @@ def epsilon_update(eps_prev: float, x_next: np.ndarray, k_order: int) -> float:
     ``r(x)_{K+1}``, the (K+1)-th largest magnitude, is read from a partial
     sort; it equals ``rearrangement(x_next)[K]`` without sorting all of x.
     """
-    x_next = np.asarray(x_next, dtype=float)
+    x_next = _as_float_vector(x_next, "x_next")
     n = x_next.size
     if not 1 <= k_order < n:
         raise ValueError(f"need 1 <= K < N, got K={k_order}, N={n}")
@@ -210,7 +206,7 @@ def irls_run(
     a finite reference ``x_ref`` of shape (N,), the run records the
     per-iteration l1 reference errors and retains its iterate history.
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_float_vector(y, "y", phi.shape[0])
     cfg = replace(cfg, K=cfg.resolve_K(phi), warmstart_iters=cfg.warmstart)
     if x_ref is not None:
         x_ref = _as_float_vector(x_ref, "x_ref", phi.cols)
@@ -270,8 +266,7 @@ def rate_diagnostics(
     The run must have retained its iterates: :func:`irls_run` keeps them
     when given ``x_ref``.  ``x_ref`` must be finite and of shape (N,).
     """
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    _check_tau(tau)
     if result.iterates is None:
         raise MissingReferenceError("need a run that retained its iterates")
     x_ref = _as_float_vector(x_ref, "x_ref", result.x_final.size)
@@ -319,8 +314,7 @@ def theoretical_contraction_factor(
         raise ValueError("gamma must be in (0, 1)")
     if k > K:
         raise ValueError("need k <= K")
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    _check_tau(tau)
     if tau == 1.0:
         return gamma * (1.0 + gamma) / (1.0 - rho) * (1.0 + 1.0 / (K + 1 - k))
     if n_cols is None or r_k is None or r_k <= 0:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _as_float_vector, _check_tau
+
 
 def rearrangement(z: np.ndarray) -> np.ndarray:
     """Magnitudes of ``z`` sorted in non-increasing order.
@@ -16,9 +18,8 @@ def rearrangement(z: np.ndarray) -> np.ndarray:
     Ties are broken by original index (stable sort), so the result is
     deterministic.
     """
-    z = np.asarray(z, dtype=float)
-    order = np.argsort(-np.abs(z), kind="stable")
-    return np.abs(z)[order]
+    mags = np.abs(_as_float_vector(z, "z"))
+    return mags[np.argsort(-mags, kind="stable")]
 
 
 def sigma_k(z: np.ndarray, k: int, tau: float = 1.0) -> float:
@@ -27,13 +28,9 @@ def sigma_k(z: np.ndarray, k: int, tau: float = 1.0) -> float:
     For ``tau = 1`` this is the l1 tail; it vanishes exactly when ``z`` is
     k-sparse.
     """
-    z = np.asarray(z, dtype=float)
-    if not 0 <= k <= z.size:
-        raise ValueError(f"k must be in [0, {z.size}], got {k}")
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
-    tail = rearrangement(z)[k:]
-    if tau == 1.0:
-        return float(np.sum(tail))
-    return float(np.sum(tail**tau))
+    r = rearrangement(z)
+    if not 0 <= k <= r.size:
+        raise ValueError(f"k must be in [0, {r.size}], got {k}")
+    _check_tau(tau)
+    return float(np.sum(r[k:] ** tau))
 

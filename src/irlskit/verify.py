@@ -41,7 +41,7 @@ from .errors import (
     InfeasibleError,
     IrlsKitError,
 )
-from .linalg import SensingMatrix, _as_float_vector, null_space_basis
+from .linalg import SensingMatrix, _as_float_array, _as_float_vector, _check_tau, null_space_basis
 
 EXACT_NSP_MAX_DIM = 4
 EXACT_NSP_MAX_COLS = 16
@@ -284,12 +284,14 @@ def nsp_constant(
     scan of ``samples`` random kernel directions (plus all coordinate
     projections) yields a certified lower bound.  ``method`` is "exact",
     "montecarlo" or "auto", which picks exact enumeration where it applies.
+    ``seed``, the Philox key of the scan, is an integer in [0, 2**128).
     """
     m, n = phi.shape
     if not 1 <= order < n:
         raise ValueError(f"order must be in [1, N-1], got {order}")
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    _check_tau(tau)
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if method not in ("auto", "exact", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
     if samples < 0:
@@ -382,7 +384,7 @@ def l1_oracle(phi: SensingMatrix, y: np.ndarray, full_output: bool = False):
     """
     m, n = phi.shape
     if n > L1_ORACLE_MAX_COLS:
-        raise ValueError(f"l1 oracle limited to N <= {L1_ORACLE_MAX_COLS}")
+        raise ValueError(f"l1 oracle limited to N <= {L1_ORACLE_MAX_COLS} columns of phi, got {n}")
     y = _as_float_vector(y, "y", m)
     cost = np.ones(2 * n)
     a_eq = np.hstack([phi.entries, -phi.entries])
@@ -433,6 +435,7 @@ def l1_minimality_check(x: np.ndarray, basis: np.ndarray) -> MinimalityCheck:
     ``B_off r = 0`` and ``g . r = ||r||^2 > 0``.  Entries of ``x`` at most
     ``1e-12 max(1, max |x_i|)`` in magnitude count as zero.
     """
+    basis = _as_float_array(basis, "basis", 2)
     n, dim = basis.shape
     x = _as_float_vector(x, "x", n)
     zero_tol = 1e-12 * max(1.0, float(np.max(np.abs(x))) if n else 1.0)

@@ -217,6 +217,34 @@ def test_mistyped_config_exit_2(tmp_path, capsys, command, key, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "command, fields, key",
+    [
+        ("trace", {"tau_list": [1.0, 0.5], "warmstart_iters": -1}, "warmstart_iters"),
+        ("phase", {"max_iters": 0}, "max_iters"),
+        ("phase", {"m": 20, "N": 50, "K_policy": 60}, "K_policy"),
+    ],
+    ids=["trace-warmstart_iters", "phase-max_iters", "phase-K_policy"],
+)
+def test_config_meets_solver_rules_before_any_trial(tmp_path, capsys, command, fields, key):
+    # each used to fail inside a trial: the trace after writing its tau = 1 CSVs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 10, "N": 20, "k": 2, "trials": 2, **fields}))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and key in captured.err
+    assert not out_dir.exists()
+
+
+def test_check_nsp_rejects_bad_seed(tiny_files, capsys):
+    matrix, _ = tiny_files
+    argv = ["check", "--matrix", matrix, "--nsp", "1", "--method", "montecarlo", "--seed", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed" in captured.err
+
+
 def test_plot_trace_structure(tmp_path):
     csv = tmp_path / "t.csv"
     csv.write_text(

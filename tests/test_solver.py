@@ -437,6 +437,7 @@ def test_load_result_rejects_missing_and_unknown_keys(tmp_path, block, key, erro
         ("doc", "x_final", [True, 1.5]),
         ("doc", "x_final", [0.5, "1.5"]),
         ("doc", "x_final", 1.5),
+        ("doc", "schema_version", 2),
     ],
 )
 def test_load_result_rejects_mistyped_values(tmp_path, block, key, value):

@@ -394,6 +394,25 @@ def test_nsp_method_names_are_exact(method):
         nsp_constant(TINY, 1, method=method)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**128, True, "3"])
+def test_nsp_seed_must_be_a_philox_key(seed):
+    with pytest.raises(ValueError, match="seed"):
+        nsp_constant(TINY, 1, method="montecarlo", samples=10, seed=seed)
+
+
+def test_nsp_seed_takes_numpy_and_128_bit_integers():
+    ref = nsp_constant(TINY, 1, method="montecarlo", samples=10, seed=3).constant
+    assert nsp_constant(TINY, 1, method="montecarlo", samples=10, seed=np.int64(3)).constant == ref
+    assert nsp_constant(TINY, 1, method="montecarlo", samples=10, seed=2**128 - 1).constant == pytest.approx(0.5)
+
+
+def test_nsp_unbounded_ratio_is_inf():
+    # the kernel is exactly e_3, a 1-sparse vector, so gamma_1 is unbounded
+    phi = SensingMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert nsp_constant(phi, 1, method="montecarlo", samples=10).constant == math.inf
+    assert exact_nsp_profile(phi)[0] == math.inf
+
+
 def test_nsp_report_json_fields():
     report = nsp_constant(TINY, 1)
     doc = dataclasses.asdict(report)
@@ -680,6 +699,20 @@ def test_minimality_equality_boundary_certified():
 def test_minimality_rejects_nonfinite_x(x):
     basis = null_space_basis(_gaussian(np.random.default_rng(6), 6, 12))
     with pytest.raises(ValueError, match="x must have finite entries"):
+        l1_minimality_check(x, basis)
+
+
+@pytest.mark.parametrize("bad", ["nan", "1d"])
+def test_minimality_checks_basis(bad):
+    basis = null_space_basis(_gaussian(np.random.default_rng(6), 6, 12)).copy()
+    x = np.where(np.arange(12) < 2, 1.0, 0.0)
+    if bad == "nan":
+        basis[4, 1] = np.nan
+        message = "basis must have finite entries"
+    else:
+        basis = basis[:, 0]
+        message = "basis must be a 2-d array"
+    with pytest.raises(ValueError, match=message):
         l1_minimality_check(x, basis)
 
 
