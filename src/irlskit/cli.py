@@ -78,23 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--l1", action="store_true", help="minimum-l1-norm solution")
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser(
-        "trace",
-        help="convergence-trace experiment from a JSON config",
-        formatter_class=fmt,
-    )
-    p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--out", default=".", help="output directory for CSV files")
-    p.set_defaults(handler=_cmd_trace)
-
-    p = sub.add_parser(
-        "phase",
-        help="phase-transition experiment from a JSON config",
-        formatter_class=fmt,
-    )
-    p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--out", default=".", help="output directory for CSV files")
-    p.set_defaults(handler=_cmd_phase)
+    for name, kind, handler in (("trace", "convergence-trace", _cmd_trace), ("phase", "phase-transition", _cmd_phase)):
+        p = sub.add_parser(name, help=f"{kind} experiment from a JSON config", formatter_class=fmt)
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--out", default=".", help="output directory for CSV files")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser(
         "plot", help="render a result CSV as a static SVG", formatter_class=fmt

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from .errors import SchemaMismatchError
-from .linalg import SensingMatrix
+from .linalg import SensingMatrix, make_rng
 from .solver import (
     IrlsConfig,
     IterationRecord,
@@ -49,10 +49,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=16).digest(), "little")
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
-
-
 def worker_count() -> int:
     env = os.environ.get("IRLS_THREADS")
     if env is not None:
@@ -71,6 +67,13 @@ def gen_gaussian_matrix(m: int, n: int, seed: int) -> SensingMatrix:
     return SensingMatrix(entries)
 
 
+def _check_gap_ratio(gap_ratio: float | None, k: int) -> None:
+    if gap_ratio is not None and not gap_ratio > 0:
+        raise ValueError(f"gap_ratio must be positive, got {gap_ratio}")
+    if gap_ratio is not None and k == 0:
+        raise ValueError("gap_ratio requires k >= 1")
+
+
 def gen_sparse_vector(
     n: int, k: int, seed: int, gap_ratio: float | None = None
 ) -> np.ndarray:
@@ -83,6 +86,7 @@ def gen_sparse_vector(
     """
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
+    _check_gap_ratio(gap_ratio, k)
     rng = make_rng(seed)
     z = np.zeros(n)
     if k > 0:
@@ -90,10 +94,6 @@ def gen_sparse_vector(
         z[support] = rng.normal(size=k)
     if gap_ratio is None:
         return z
-    if gap_ratio <= 0:
-        raise ValueError("gap_ratio must be positive")
-    if k == 0:
-        raise ValueError("gap_ratio requires k >= 1")
     noise = rng.normal(size=n)
     r0 = rearrangement(z)
     beta = r0[k - 1] / (gap_ratio * np.sum(np.abs(noise)))
@@ -122,8 +122,9 @@ class ExperimentConfig:
     selects the solver's sparsity order per trial: "EqualsPlantedK",
     "Heuristic", or an integer K with 1 <= K < N.  ``warmstart_iters``
     applies to the hybrid (tau < 1) methods in ``tau_list``.  A field that
-    does not fit its type (see ``solver._json_fits``), or a solver setting
-    ``IrlsConfig`` rejects, raises ``ValueError`` before any trial runs.
+    does not fit its type (see ``solver._json_fits``), a solver setting
+    ``IrlsConfig`` rejects, an empty list or a ``k_list`` entry outside
+    [0, m] raises ``ValueError`` before any trial runs.
     """
 
     m: int
@@ -148,6 +149,13 @@ class ExperimentConfig:
             raise ValueError(f"need k <= m < N, got k={self.k}, m={self.m}, N={self.N}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.success_tol >= 0:
+            raise ValueError(f"success_tol must be non-negative, got {self.success_tol}")
+        _check_gap_ratio(self.gap_ratio, self.k)
+        if self.k_list is not None and not (self.k_list and all(0 <= k <= self.m for k in self.k_list)):
+            raise ValueError(f"k_list must be a non-empty list of entries in [0, m], got {self.k_list}")
+        if not self.tau_list:
+            raise ValueError("tau_list must not be empty")
         K = self.resolve_K(self.k)  # checks K_policy
         for tau in self.tau_list:  # the solver's rules, met before any trial runs
             _solver_config(self, tau, K)
@@ -252,8 +260,6 @@ def run_phase_transition(
     cells are reproducible in isolation.
     """
     ks = cfg.k_list if cfg.k_list is not None else [cfg.k]
-    if any(not 0 <= k <= cfg.m for k in ks):
-        raise ValueError("k_list entries must be in [0, m]")
     keys = [(k, tau, t) for k in ks for tau in cfg.tau_list for t in range(cfg.trials)]
     trial = partial(rerun_trial, cfg)
     workers = n_workers if n_workers is not None else worker_count()
@@ -301,7 +307,7 @@ def run_trace(cfg: ExperimentConfig, tau: float) -> TraceStudy:
     solver_cfg = _solver_config(cfg, tau, cfg.resolve_K(cfg.k))
     y = dgemv(1.0, phi.entries.T, planted, trans=1)
     result = irls_run(phi, y, solver_cfg, x_ref=planted)
-    diagnostics = rate_diagnostics(result, planted, tau) if result.trace else []
+    diagnostics = rate_diagnostics(result, planted) if result.trace else []
     return TraceStudy(
         result=result,
         diagnostics=diagnostics,

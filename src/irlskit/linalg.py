@@ -57,6 +57,13 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
 
 
+def make_rng(seed: int) -> np.random.Generator:
+    """Philox generator keyed by ``seed``, a Python or numpy integer in [0, 2**128)."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 @dataclass(frozen=True)
 class SensingMatrix:
     """Dense m-by-N measurement matrix with m < N and full row rank.
@@ -92,10 +99,6 @@ class SensingMatrix:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:

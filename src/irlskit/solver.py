@@ -81,7 +81,7 @@ class IrlsConfig:
             raise ValueError("warmstart_iters must be non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.eps_floor <= 0 or self.step_tol <= 0:
+        if not (self.eps_floor > 0 and self.step_tol > 0):
             raise ValueError("eps_floor and step_tol must be positive")
 
     @property
@@ -140,6 +140,8 @@ def surrogate_value(z: np.ndarray, w: np.ndarray, eps: float, tau: float = 1.0) 
     w = _as_float_vector(w, "w", z.size)
     if np.any(w <= 0):
         raise ValueError("w must be strictly positive")
+    if not eps >= 0:
+        raise ValueError("eps must be non-negative")
     _check_tau(tau)
     quad = float(np.sum(z * z * w))
     reg = float(eps * eps * np.sum(w) + ((2.0 - tau) / tau) * np.sum(w ** (-tau / (2.0 - tau))))
@@ -153,7 +155,7 @@ def smoothed_objective(z: np.ndarray, eps: float, tau: float = 1.0) -> float:
     here; at tau = 1, eps = 0 it is the l1 norm.
     """
     z = _as_float_vector(z, "z")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
     _check_tau(tau)
     return float(np.sum((z * z + eps * eps) ** (0.5 * tau)))
@@ -163,7 +165,7 @@ def optimal_weights(x: np.ndarray, eps: float, tau: float = 1.0) -> np.ndarray:
     """Weights minimizing the surrogate at fixed (x, eps):
     ``w_j = (x_j^2 + eps^2) ** (-(2 - tau) / 2)``."""
     x = _as_float_vector(x, "x")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     _check_tau(tau)
     return (x * x + eps * eps) ** (-0.5 * (2.0 - tau))
@@ -179,7 +181,7 @@ def epsilon_update(eps_prev: float, x_next: np.ndarray, k_order: int) -> float:
     n = x_next.size
     if not 1 <= k_order < n:
         raise ValueError(f"need 1 <= K < N, got K={k_order}, N={n}")
-    if eps_prev < 0:
+    if not eps_prev >= 0:
         raise ValueError("eps_prev must be non-negative")
     kth = n - 1 - k_order
     return min(eps_prev, float(np.partition(np.abs(x_next), kth)[kth]) / n)
@@ -209,8 +211,8 @@ def irls_run(
     y = _as_float_vector(y, "y", phi.shape[0])
     cfg = replace(cfg, K=cfg.resolve_K(phi), warmstart_iters=cfg.warmstart)
     if x_ref is not None:
-        x_ref = _as_float_vector(x_ref, "x_ref", phi.cols)
-    x, w, eps, n = np.zeros(phi.cols), np.ones(phi.cols), 1.0, 0
+        x_ref = _as_float_vector(x_ref, "x_ref", phi.shape[1])
+    x, w, eps, n = np.zeros(phi.shape[1]), np.ones(phi.shape[1]), 1.0, 0
     trace: list[IterationRecord] = []
     iterates: list[np.ndarray] | None = None if x_ref is None else []
     a_bound = math.nan
@@ -254,21 +256,19 @@ def irls_run(
     )
 
 
-def rate_diagnostics(
-    result: RecoveryResult, x_ref: np.ndarray, tau: float = 1.0
-) -> list[tuple[int, float, float]]:
+def rate_diagnostics(result: RecoveryResult, x_ref: np.ndarray) -> list[tuple[int, float, float]]:
     """Per-iteration contraction ratios against a reference vector.
 
-    Errors are measured as ``E_n = sum_i |x_i^n - ref_i| ** tau``.  Returns
+    Errors are ``E_n = sum_i |x_i^n - ref_i| ** tau`` with the run's tau.  Returns
     ``(n, E_{n+1}/E_n, E_{n+1}/E_n**(2-tau))`` tuples; entries whose E_n is
     below ``1e3 * machine_eps * sum |ref_i|**tau`` are omitted.
 
     The run must have retained its iterates: :func:`irls_run` keeps them
     when given ``x_ref``.  ``x_ref`` must be finite and of shape (N,).
     """
-    _check_tau(tau)
     if result.iterates is None:
         raise MissingReferenceError("need a run that retained its iterates")
+    tau = result.config.tau
     x_ref = _as_float_vector(x_ref, "x_ref", result.x_final.size)
     errors = [float(np.sum(np.abs(x - x_ref) ** tau)) for x in result.iterates]
     floor = 1e3 * np.finfo(float).eps * float(np.sum(np.abs(x_ref) ** tau))
@@ -317,7 +317,7 @@ def theoretical_contraction_factor(
     _check_tau(tau)
     if tau == 1.0:
         return gamma * (1.0 + gamma) / (1.0 - rho) * (1.0 + 1.0 / (K + 1 - k))
-    if n_cols is None or r_k is None or r_k <= 0:
+    if n_cols is None or r_k is None or not r_k > 0:
         raise ValueError("tau < 1 needs n_cols and positive r_k")
     a_const = 1.0 / (r_k ** (1.0 - tau) * (1.0 - rho) ** (2.0 - tau))
     return (

@@ -41,7 +41,7 @@ from .errors import (
     InfeasibleError,
     IrlsKitError,
 )
-from .linalg import SensingMatrix, _as_float_array, _as_float_vector, _check_tau, null_space_basis
+from .linalg import SensingMatrix, _as_float_array, _as_float_vector, _check_tau, make_rng, null_space_basis
 
 EXACT_NSP_MAX_DIM = 4
 EXACT_NSP_MAX_COLS = 16
@@ -110,6 +110,14 @@ def _support_chunks(n: int, k: int):
         yield rest
 
 
+def _budgeted_supports(n: int, k: int, budget: int):
+    """``_support_chunks(n, k)``, after checking that C(n, k) is within ``budget``."""
+    n_supports = math.comb(n, k)
+    if n_supports > budget:
+        raise BudgetExceededError(f"C({n},{k}) = {n_supports} supports exceeds budget {budget}")
+    return _support_chunks(n, k)
+
+
 def rip_constant(phi: SensingMatrix, order: int) -> PropertyReport:
     """Restricted-isometry constant of the given order by full enumeration.
 
@@ -122,18 +130,14 @@ def rip_constant(phi: SensingMatrix, order: int) -> PropertyReport:
     m, n = phi.shape
     if not 1 <= order <= m:
         raise ValueError(f"order must be in [1, m={m}], got {order}")
-    n_supports = math.comb(n, order)
-    if n_supports > RIP_SUPPORT_BUDGET:
-        raise BudgetExceededError(
-            f"C({n},{order}) = {n_supports} supports exceeds budget {RIP_SUPPORT_BUDGET}"
-        )
+    supports = _budgeted_supports(n, order, RIP_SUPPORT_BUDGET)
     t0 = time.perf_counter()
     delta = 0.0
     p = phi.entries
     sq = np.einsum("mi,mi->i", p, p)
     a = np.abs(p.T @ p).ravel() if order > 1 else None  # no N x N Gram at order 1
     floor = float(np.max(np.abs(np.sqrt(sq) - 1.0)))  # delta_1 <= delta
-    for idx in _support_chunks(n, order):
+    for idx in supports:
         # Gershgorin, on contiguous (order, b) arrays: sigma_max^2 <= top = max_i sum_j |g_ij|
         # and sigma_min^2 >= low = min_i (2 g_ii - sum_j |g_ij|)
         t = np.ascontiguousarray(idx.T)
@@ -244,12 +248,11 @@ def exact_nsp_profile(phi: SensingMatrix) -> np.ndarray:
         return np.where(shares < 1.0, shares / (1.0 - shares), np.inf)
 
 
-def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, seed: int) -> float:
-    """Largest top-``order`` mass ratio over ``samples`` Philox normals, drawn
-    in 4096-row blocks as the scan reaches them, then over the normalised
+def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, rng: np.random.Generator) -> float:
+    """Largest top-``order`` mass ratio over ``samples`` normals from ``rng``,
+    drawn in 4096-row blocks as the scan reaches them, then over the normalised
     basis rows and the identity; a max over rows, so blocks cannot change it."""
     n, dim = basis.shape
-    rng = np.random.Generator(np.random.Philox(key=seed))
     extremes = basis / np.maximum(np.linalg.norm(basis, axis=1, keepdims=True), 1e-300)
     tail = np.vstack([extremes, np.eye(dim)])  # scanned after the normals
     best = 0.0
@@ -290,8 +293,7 @@ def nsp_constant(
     if not 1 <= order < n:
         raise ValueError(f"order must be in [1, N-1], got {order}")
     _check_tau(tau)
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**128:
-        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    rng = make_rng(seed)
     if method not in ("auto", "exact", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
     if samples < 0:
@@ -305,7 +307,7 @@ def nsp_constant(
             raise ValueError("exact enumeration supports tau = 1 only")
         gamma = float(exact_nsp_profile(phi)[order - 1])
     else:
-        gamma = _mc_gamma(null_space_basis(phi), order, tau, samples, seed)
+        gamma = _mc_gamma(null_space_basis(phi), order, tau, samples, rng)
     return PropertyReport(
         kind="NSP" if tau == 1.0 else "TauNSP",
         order=order,
@@ -330,11 +332,7 @@ def sparse_oracle(
     y = _as_float_vector(y, "y", m)
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
-    n_supports = math.comb(n, k)
-    if n_supports > SPARSE_ORACLE_BUDGET:
-        raise BudgetExceededError(
-            f"C({n},{k}) = {n_supports} supports exceeds budget {SPARSE_ORACLE_BUDGET}"
-        )
+    supports = _budgeted_supports(n, k, SPARSE_ORACLE_BUDGET)
     if k == 0:
         return (), np.zeros(n), float(np.linalg.norm(y))
     best_res = math.inf
@@ -342,7 +340,7 @@ def sparse_oracle(
     best_coef: np.ndarray | None = None
     g = phi.entries.T @ phi.entries if k > 1 else np.einsum("mi,mi->i", phi.entries, phi.entries)
     phi_y = phi.entries.T @ y
-    for idx in _support_chunks(n, k):
+    for idx in supports:
         # Grams gathered from Phi^T Phi; at k = 1 squared column norms, no N x N Gram
         gram = g[idx[:, :, None], idx[:, None, :]] if k > 1 else g[idx][:, :, None]
         sub = np.moveaxis(phi.entries[:, idx], 1, 0)  # (b, m, k)
@@ -370,6 +368,14 @@ def sparse_oracle(
     return best_support, x, best_res
 
 
+def _highs(cost: np.ndarray, **constraints):
+    """Dual-simplex ``linprog`` without presolve (see the module docstring); ``None`` if infeasible."""
+    res = linprog(cost, method="highs-ds", options={"presolve": False}, **constraints)
+    if res.status not in (0, 2):
+        raise IrlsKitError(f"LP solver failed: {res.message}")
+    return res if res.status == 0 else None
+
+
 def l1_oracle(phi: SensingMatrix, y: np.ndarray, full_output: bool = False):
     """Minimum-l1-norm solution of ``Phi x = y`` by linear programming.
 
@@ -388,12 +394,9 @@ def l1_oracle(phi: SensingMatrix, y: np.ndarray, full_output: bool = False):
     y = _as_float_vector(y, "y", m)
     cost = np.ones(2 * n)
     a_eq = np.hstack([phi.entries, -phi.entries])
-    res = linprog(cost, A_eq=a_eq, b_eq=y, bounds=(0, None), method="highs-ds",
-                  options={"presolve": False})  # see the module docstring
-    if res.status == 2:
+    res = _highs(cost, A_eq=a_eq, b_eq=y, bounds=(0, None))
+    if res is None:
         raise InfeasibleError("right-hand side outside the range of the matrix")
-    if res.status != 0:
-        raise IrlsKitError(f"LP solver failed: {res.message}")
     x = res.x[:n] - res.x[n:]
     if not full_output:
         return x
@@ -447,14 +450,11 @@ def l1_minimality_check(x: np.ndarray, basis: np.ndarray) -> MinimalityCheck:
     cost = np.append(np.zeros(p), 1.0)
     a_ub = np.block([[np.eye(p), -np.ones((p, 1))], [-np.eye(p), -np.ones((p, 1))]])
     a_eq = np.hstack([off.T, np.zeros((dim, 1))])
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(2 * p), A_eq=a_eq, b_eq=g,
-                  bounds=[(None, None)] * p + [(0, None)], method="highs-ds",
-                  options={"presolve": False})  # the same HiGHS call as l1_oracle's
-    if res.status == 2:
+    res = _highs(cost, A_ub=a_ub, b_ub=np.zeros(2 * p), A_eq=a_eq, b_eq=g,
+                 bounds=[(None, None)] * p + [(0, None)])
+    if res is None:
         r = g - off.T @ np.linalg.lstsq(off.T, g, rcond=None)[0]
         return MinimalityCheck("Violated", basis @ r)
-    if res.status != 0:
-        raise IrlsKitError(f"LP solver failed: {res.message}")
     if res.fun <= 1.0 + 1e-9:
         return MinimalityCheck("Certified")
     return MinimalityCheck("Violated", basis @ res.eqlin.marginals)

@@ -16,11 +16,9 @@ from irlskit import (
     l1_oracle,
     nsp_constant,
     optimal_weights,
-    rate_diagnostics,
     rearrangement,
     rip_constant,
     rip_to_nsp_bound,
-    run_phase_transition,
     sigma_k,
     smoothed_objective,
     sparse_oracle,
@@ -38,18 +36,12 @@ def _config(**kw):
     return ExperimentConfig(**{"m": 10, "N": 20, "k": 2, **kw})
 
 
-def _rate_diagnostics_tau(tau):
-    result = irls_run(PHI, [1.0, 1.0], IrlsConfig(K=1), x_ref=[0.0, 0.0, 1.0])
-    return rate_diagnostics(result, [0.0, 0.0, 1.0], tau)
-
-
 CASES = [
     # tau, one rule behind every entry point that takes it
     pytest.param(lambda: IrlsConfig(tau=1.5), "tau", id="IrlsConfig-tau"),
     pytest.param(lambda: surrogate_value([1.0], [1.0], 0.1, 0.0), "tau", id="surrogate_value-tau"),
     pytest.param(lambda: smoothed_objective([1.0], 0.1, -0.5), "tau", id="smoothed_objective-tau"),
     pytest.param(lambda: optimal_weights([1.0], 0.1, 2.0), "tau", id="optimal_weights-tau"),
-    pytest.param(lambda: _rate_diagnostics_tau(0.0), "tau", id="rate_diagnostics-tau"),
     pytest.param(
         lambda: theoretical_contraction_factor(0.1, 0.5, 3, 2, tau=np.nan), "tau", id="contraction-tau"
     ),
@@ -60,14 +52,24 @@ CASES = [
     pytest.param(lambda: IrlsConfig(max_iters=0), "max_iters", id="IrlsConfig-max_iters"),
     pytest.param(lambda: IrlsConfig(eps_floor=0.0), "eps_floor", id="IrlsConfig-eps_floor"),
     pytest.param(lambda: IrlsConfig(step_tol=-1.0), "step_tol", id="IrlsConfig-step_tol"),
+    pytest.param(lambda: IrlsConfig(eps_floor=np.nan), "eps_floor", id="IrlsConfig-eps_floor-nan"),
+    pytest.param(lambda: IrlsConfig(step_tol=np.nan), "step_tol", id="IrlsConfig-step_tol-nan"),
     pytest.param(lambda: IrlsConfig(K=3).resolve_K(PHI), "K", id="resolve_K-K"),
     pytest.param(lambda: epsilon_update(1.0, [1.0, 2.0], 2), "K", id="epsilon_update-K"),
     pytest.param(lambda: epsilon_update(-1.0, [1.0, 2.0], 1), "eps_prev", id="epsilon_update-eps_prev"),
+    pytest.param(lambda: epsilon_update(np.nan, [1.0, 2.0, 3.0], 1), "eps_prev", id="epsilon_update-eps_prev-nan"),
     pytest.param(lambda: smoothed_objective([1.0], -0.1), "eps", id="smoothed_objective-eps"),
+    pytest.param(lambda: smoothed_objective([1.0, 2.0], np.nan), "eps", id="smoothed_objective-eps-nan"),
     pytest.param(lambda: optimal_weights([1.0], 0.0), "eps", id="optimal_weights-eps"),
+    pytest.param(lambda: optimal_weights([1.0], np.nan), "eps", id="optimal_weights-eps-nan"),
+    pytest.param(lambda: surrogate_value([1.0], [1.0], -1.0), "eps", id="surrogate_value-eps"),
     pytest.param(lambda: theoretical_contraction_factor(0.1, 1.0, 3, 2), "rho", id="contraction-rho"),
     pytest.param(lambda: theoretical_contraction_factor(0.0, 0.5, 3, 2), "gamma", id="contraction-gamma"),
     pytest.param(lambda: theoretical_contraction_factor(0.1, 0.5, 3, 4), "k", id="contraction-k"),
+    pytest.param(
+        lambda: theoretical_contraction_factor(0.1, 0.5, 3, 2, tau=0.5, n_cols=10, r_k=np.nan), "r_k",
+        id="contraction-r_k-nan",
+    ),
     # arrays
     pytest.param(lambda: surrogate_value([1.0, 2.0, 3.0], [1.0], 0.5), "w", id="surrogate_value-w-length"),
     pytest.param(lambda: surrogate_value(NAN4, np.ones(4), 0.5), "z", id="surrogate_value-z-nan"),
@@ -92,6 +94,7 @@ CASES = [
     # experiments and plotting
     pytest.param(lambda: gen_gaussian_matrix(5, 5, 0), "m", id="gen_gaussian_matrix-m"),
     pytest.param(lambda: gen_sparse_vector(5, 6, 0), "k", id="gen_sparse_vector-k"),
+    pytest.param(lambda: gen_sparse_vector(5, 2, 0, gap_ratio=np.nan), "gap_ratio", id="gen_sparse_vector-gap_ratio-nan"),
     pytest.param(lambda: _config(trials=0), "trials", id="ExperimentConfig-trials"),
     pytest.param(lambda: _config(tau_list=[1.0, 1.5]), "tau", id="ExperimentConfig-tau_list"),
     pytest.param(lambda: _config(K_policy=20), "K_policy", id="ExperimentConfig-K_policy"),
@@ -101,8 +104,13 @@ CASES = [
     ),
     pytest.param(lambda: _config(max_iters=0), "max_iters", id="ExperimentConfig-max_iters"),
     pytest.param(lambda: _config(step_tol=0.0), "step_tol", id="ExperimentConfig-step_tol"),
+    pytest.param(lambda: _config(success_tol=-1.0), "success_tol", id="ExperimentConfig-success_tol"),
+    pytest.param(lambda: _config(success_tol=np.nan), "success_tol", id="ExperimentConfig-success_tol-nan"),
+    pytest.param(lambda: _config(gap_ratio=np.nan), "gap_ratio", id="ExperimentConfig-gap_ratio-nan"),
+    pytest.param(lambda: _config(tau_list=[]), "tau_list", id="ExperimentConfig-tau_list-empty"),
+    pytest.param(lambda: _config(k_list=[]), "k_list", id="ExperimentConfig-k_list-empty"),
     pytest.param(lambda: ExperimentConfig.from_dict([1]), "config", id="from_dict-not-object"),
-    pytest.param(lambda: run_phase_transition(_config(k_list=[11])), "k_list", id="phase-k_list"),
+    pytest.param(lambda: _config(k_list=[11]), "k_list", id="phase-k_list"),
     pytest.param(lambda: emit_plot("unused.csv", "bogus", "unused.svg"), "kind", id="emit_plot-kind"),
 ]
 

@@ -223,11 +223,20 @@ def test_mistyped_config_exit_2(tmp_path, capsys, command, key, value):
         ("trace", {"tau_list": [1.0, 0.5], "warmstart_iters": -1}, "warmstart_iters"),
         ("phase", {"max_iters": 0}, "max_iters"),
         ("phase", {"m": 20, "N": 50, "K_policy": 60}, "K_policy"),
+        ("phase", {"tau_list": []}, "tau_list"),
+        ("phase", {"k_list": []}, "k_list"),
+        ("trace", {"tau_list": []}, "tau_list"),
+        ("phase", {"k_list": [15]}, "k_list"),
+        ("trace", {"k": 0, "gap_ratio": 10.0}, "gap_ratio"),
     ],
-    ids=["trace-warmstart_iters", "phase-max_iters", "phase-K_policy"],
+    ids=[
+        "trace-warmstart_iters", "phase-max_iters", "phase-K_policy",
+        "phase-tau_list-empty", "phase-k_list-empty", "trace-tau_list-empty", "phase-k_list-range",
+        "trace-gap_ratio-k0",
+    ],
 )
 def test_config_meets_solver_rules_before_any_trial(tmp_path, capsys, command, fields, key):
-    # each used to fail inside a trial: the trace after writing its tau = 1 CSVs
+    # each fails when the config loads: before any trial runs or any file is written
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"m": 10, "N": 20, "k": 2, "trials": 2, **fields}))
     out_dir = tmp_path / "out"

@@ -32,6 +32,7 @@ from irlskit.experiments import (
     write_ratios_csv,
     write_trace_csv,
 )
+from irlskit.linalg import make_rng
 from irlskit.sparsity import rearrangement
 
 
@@ -73,6 +74,25 @@ def test_sparse_vector_gap_ratio():
         gen_sparse_vector(12, 0, seed=3, gap_ratio=10.0)
     with pytest.raises(ValueError):
         gen_sparse_vector(12, 3, seed=3, gap_ratio=-1.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5], ids=["-1", "2**128", "1.5"])
+@pytest.mark.parametrize(
+    "generate", [lambda s: gen_gaussian_matrix(2, 3, s), lambda s: gen_sparse_vector(5, 2, s)],
+    ids=["gen_gaussian_matrix", "gen_sparse_vector"],
+)
+def test_generators_reject_non_philox_seeds(generate, seed):
+    with pytest.raises(ValueError, match="seed"):
+        generate(seed)
+
+
+def test_largest_philox_key_stream():
+    first = [0.6313842391058808, -1.1589078121430747, -1.4343318739191726]
+    assert make_rng(2**128 - 1).normal(size=3).tolist() == first
+
+
+def test_numpy_integer_philox_key():
+    assert np.array_equal(make_rng(np.int64(3)).normal(size=4), make_rng(3).normal(size=4))
 
 
 def test_derive_seed_stability():

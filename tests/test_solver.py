@@ -253,7 +253,7 @@ def test_irls_run_recovers_planted_sparse():
     for rec, x in zip(result.trace, result.iterates):
         assert np.sum(np.abs(x)) <= a_bound * (1 + 1e-9)
     # sandwich between the surrogate and the l1 norm
-    n = phi.cols
+    n = phi.shape[1]
     for rec, x in zip(result.trace, result.iterates):
         l1 = np.sum(np.abs(x))
         assert rec.surrogate - n * rec.eps <= l1 + 1e-9 * rec.surrogate
@@ -272,7 +272,7 @@ def test_rate_diagnostics_geometric():
         config=IrlsConfig(K=1, warmstart_iters=0),
         iterates=iterates,
     )
-    diags = rate_diagnostics(result, ref, tau=1.0)
+    diags = rate_diagnostics(result, ref)
     assert len(diags) == 10
     for _, lin, sup in diags:
         assert lin == pytest.approx(0.5, rel=1e-12)
@@ -295,7 +295,7 @@ def test_rate_diagnostics_superlinear_exponent():
         config=IrlsConfig(K=1, tau=tau, warmstart_iters=0),
         iterates=iterates,
     )
-    diags = rate_diagnostics(result, np.zeros(1), tau=tau)
+    diags = rate_diagnostics(result, np.zeros(1))
     lins = [lin for _, lin, _ in diags]
     for _, _, sup in diags:
         assert sup == pytest.approx(1.0, rel=1e-9)
@@ -321,7 +321,7 @@ def test_rate_diagnostics_requires_reference():
     phi = SensingMatrix([[1.0, 1.0]])
     result = irls_run(phi, np.array([2.0]), IrlsConfig(K=1))
     with pytest.raises(MissingReferenceError):
-        rate_diagnostics(result, np.zeros(2), tau=0.5)
+        rate_diagnostics(result, np.zeros(2))
 
 
 @pytest.mark.parametrize(

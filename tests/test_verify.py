@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from irlskit import (
     BudgetExceededError,
     DimensionTooLargeError,
     IrlsConfig,
+    IrlsKitError,
     RankDeficientError,
     SensingMatrix,
     irls_run,
@@ -679,6 +681,19 @@ def test_minimality_fully_supported_violated():
     assert check.status == "Violated"
     lhs, rhs = _sign_condition_gap(x, check.witness)
     assert lhs > 0.0 and rhs == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: l1_oracle(TINY, [1.0, 1.0]), lambda: l1_minimality_check(np.zeros(3), null_space_basis(TINY))],
+    ids=["l1_oracle", "l1_minimality_check"],
+)
+def test_lp_failure_other_than_infeasible_raises(monkeypatch, call):
+    # status 4 is HiGHS's "numerical difficulties"; only status 2 (infeasible) has a fallback
+    failed = SimpleNamespace(status=4, message="numerical difficulties")
+    monkeypatch.setattr(verify, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(IrlsKitError, match="LP solver failed: numerical difficulties"):
+        call()
 
 
 def test_minimality_zero_certified():
