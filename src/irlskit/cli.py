@@ -19,6 +19,7 @@ from .experiments import (
     ExperimentConfig,
     run_phase_transition,
     run_trace,
+    worker_count,
     write_phase_csv,
     write_ratios_csv,
     write_trace_csv,
@@ -182,8 +183,9 @@ def _cmd_trace(args) -> int:
 
 def _cmd_phase(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
+    workers = worker_count()
     os.makedirs(args.out, exist_ok=True)
-    cells = run_phase_transition(cfg)
+    cells = run_phase_transition(cfg, n_workers=workers)
     out_path = os.path.join(args.out, "phase.csv")
     write_phase_csv(cells, out_path)
     for (k, tag) in sorted(cells):

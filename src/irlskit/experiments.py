@@ -51,9 +51,12 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 def worker_count() -> int:
     env = os.environ.get("IRLS_THREADS")
-    if env is not None:
+    if env is None:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"IRLS_THREADS must be an integer, got {env!r}") from None
 
 
 def gen_gaussian_matrix(m: int, n: int, seed: int) -> SensingMatrix:
@@ -121,10 +124,12 @@ class ExperimentConfig:
     transitions sweep ``k_list`` (defaulting to ``[k]``).  ``K_policy``
     selects the solver's sparsity order per trial: "EqualsPlantedK",
     "Heuristic", or an integer K with 1 <= K < N.  ``warmstart_iters``
-    applies to the hybrid (tau < 1) methods in ``tau_list``.  A field that
-    does not fit its type (see ``solver._json_fits``), a solver setting
-    ``IrlsConfig`` rejects, an empty list or a ``k_list`` entry outside
-    [0, m] raises ``ValueError`` before any trial runs.
+    applies to the hybrid (tau < 1) methods in ``tau_list``.  ``gap_ratio``
+    shapes only the planted vector of ``trace``; phase trials
+    (:func:`rerun_trial`) draw exactly k-sparse vectors and ignore it.
+    A field that does not fit its type (see ``solver._json_fits``), a
+    solver setting ``IrlsConfig`` rejects, an empty list or a ``k_list``
+    entry outside [0, m] raises ``ValueError`` before any trial runs.
     """
 
     m: int

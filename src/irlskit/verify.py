@@ -1,9 +1,9 @@
 """Ground-truth oracles and matrix-property checkers.
 
 RIP constants and the sparse oracle enumerate supports in lex order,
-built by array prefix extension from O(N k) state (reverse-lex
-complements when k > N/2), and read what they need of each support's
-Gram from one ``Phi^T Phi``.  RIP skips a
+each row unranked from its lex rank by one ``searchsorted`` per element,
+and read what they need of each support's Gram from one ``Phi^T Phi``.
+RIP skips a
 support whose Gershgorin bounds cannot reach the running delta (less a
 rounding margin) and that the SVD guard below could not take, which
 saves work when columns are incoherent; the rest take their singular
@@ -77,37 +77,26 @@ class PropertyReport:
 
 
 def _support_chunks(n: int, k: int):
-    """The k-subsets of range(n) in lex order, in blocks of ``_CHUNK`` rows."""
+    """The k-subsets of range(n) in lex order, in blocks of ``_CHUNK`` rows.
 
-    def batches(prefix, lo):  # the j-subsets extending prefix by an element >= lo
-        p, runs = len(prefix) + 1, []
-        for c in range(lo, n - j + p):  # runs a..c of next elements, C(n-a, j-p+1) - C(n-1-c, j-p+1) rows
-            if not runs or math.comb(n - runs[-1][0], j - p + 1) - math.comb(n - 1 - c, j - p + 1) > cap:
-                runs.append([])
-            runs[-1].append(c)
-        for nxt in runs[::-1] if comp else runs:
-            if math.comb(n - 1 - nxt[0], j - p) > cap:  # a single next element: split by the one after it
-                yield from batches(prefix + (nxt[0],), nxt[0] + 1)
-                continue
-            rows = np.array([(*prefix, c) for c in nxt])
-            for q in range(p, j):  # repeat each prefix once per next element that leaves room to complete
-                cnt = n - j + q - rows[:, -1]
-                new = np.repeat(rows[:, -1] + 1 + cnt - np.cumsum(cnt), cnt) + np.arange(cnt.sum())
-                rows = np.column_stack([np.repeat(rows, cnt, axis=0), new])
-            yield rows[::-1] if comp else rows
-
-    comp = n > k > n / 2  # lex order on k-subsets is reverse lex order on their complements
-    j, cap = n - k if comp else k, max(_CHUNK, 2**14 // k)  # at most 2**14 indices a batch
-    rest = np.empty((0, k), dtype=int)
-    for rows in batches((), 0):
-        if comp:  # the elements of range(n) that each row leaves out
-            keep = np.ones((len(rows), n), dtype=bool)
-            np.put_along_axis(keep, rows, False, axis=1)
-            rows = np.broadcast_to(np.arange(n), keep.shape)[keep].reshape(-1, k)
-        *full, rest = np.split(np.concatenate([rest, rows]), range(_CHUNK, len(rest) + len(rows) + 1, _CHUNK))
-        yield from full
-    if len(rest):
-        yield rest
+    Each row is unranked from its lex rank r alone (Buckles & Lybanon, ACM
+    TOMS 3(2), 1977): from the co-rank c = C(n, k) - 1 - r, for s = k, ..., 1
+    the largest x with C(x, s) <= c gives the element n - 1 - x, and c drops
+    by C(x, s).
+    """
+    total = math.comb(n, k)
+    # binom[s - 1, x] = C(x, s), capped at C(n, k) > c so that no entry overflows int64
+    binom = np.array([[min(math.comb(x, s), total) for x in range(n)] for s in range(1, k + 1)], dtype=np.int64)
+    step = _CHUNK * max(1, 2**14 // (_CHUNK * k))  # whole blocks, at most 2**14 indices a batch
+    for start in range(0, total, step):
+        c = total - 1 - np.arange(start, min(start + step, total), dtype=np.int64)
+        rows = np.empty((len(c), k), dtype=int)
+        for s in range(k, 0, -1):
+            x = np.searchsorted(binom[s - 1], c, side="right") - 1
+            rows[:, k - s] = n - 1 - x
+            c -= binom[s - 1][x]
+        for i in range(0, len(rows), _CHUNK):
+            yield rows[i : i + _CHUNK]
 
 
 def _budgeted_supports(n: int, k: int, budget: int):

@@ -246,6 +246,17 @@ def test_config_meets_solver_rules_before_any_trial(tmp_path, capsys, command, f
     assert not out_dir.exists()
 
 
+def test_phase_rejects_bad_irls_threads(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("IRLS_THREADS", "abc")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"m": 10, "N": 20, "k": 2, "trials": 2}))
+    out_dir = tmp_path / "out"
+    assert main(["phase", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "IRLS_THREADS" in captured.err and "'abc'" in captured.err
+    assert not out_dir.exists()
+
+
 def test_check_nsp_rejects_bad_seed(tiny_files, capsys):
     matrix, _ = tiny_files
     argv = ["check", "--matrix", matrix, "--nsp", "1", "--method", "montecarlo", "--seed", "-1"]

@@ -1,12 +1,17 @@
 """Numeric identity of written outputs, pinned by SHA-256 per numpy/scipy build.
 
-``irlskit trace`` runs in a child interpreter at one BLAS thread on a fixed
-50x250 config, and the SHA-256 of every CSV it writes must equal the digest
-recorded in ``tests/data/output_digests.json`` for the running build.  The
-build key names the numpy and scipy versions and the BLAS each was built
-against.  On a build with no recorded digests the test fails and prints the
-key and the digests it computed, ready to be recorded once checked.  A
-change that alters output bits on purpose updates the table with it.
+Each group runs in a child interpreter at one BLAS thread.  ``trace``:
+``irlskit trace`` on a fixed 50x250 config, one digest per CSV it writes.
+``verify``: the 17g text of RIP constants, sparse-oracle fits and exact NSP
+profiles on seeded Gaussian matrices, on both sides of k = N/2; each
+sparse-oracle right-hand side lies in the span of fewer than k columns, so
+many supports tie and the lex-first one must win.  Every digest must equal
+the one recorded in ``tests/data/output_digests.json`` for the running
+build.  The build key names the numpy and scipy versions and the BLAS each
+was built against.  On a build with no recorded digests the test fails
+and prints the key and the digests it computed, ready to be recorded once
+checked.  A change that alters output bits on purpose updates the table
+with it.
 """
 
 import hashlib
@@ -23,6 +28,25 @@ import irlskit
 
 DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
 TRACE_CONFIG = {"m": 50, "N": 250, "k": 8, "tau_list": [1.0, 0.6], "master_seed": 7}
+VERIFY_SCRIPT = """
+from irlskit.experiments import gen_gaussian_matrix, gen_sparse_vector
+from irlskit.verify import exact_nsp_profile, rip_constant, sparse_oracle
+
+def text(values):
+    return " ".join(f"{float(v):.17g}" for v in values)
+
+for (m, n, seed), orders in (((16, 30, 1), (1, 2, 3)), ((10, 12, 2), (8,))):
+    phi = gen_gaussian_matrix(m, n, seed)
+    for order in orders:
+        print(f"rip {m}x{n} order {order}: {text([rip_constant(phi, order).constant])}")
+for m, n, k, planted, seed in ((16, 32, 3, 2, 3), (9, 12, 7, 5, 4)):
+    phi = gen_gaussian_matrix(m, n, seed)
+    y = phi.entries @ gen_sparse_vector(n, planted, seed)
+    support, x, residual = sparse_oracle(phi, y, k)
+    print(f"sparse {m}x{n} k {k}: {support} {text(x)} {text([residual])}")
+for m, n, seed in ((8, 12, 5), (1, 5, 6)):
+    print(f"nsp {m}x{n}: {text(exact_nsp_profile(gen_gaussian_matrix(m, n, seed)))}")
+"""
 
 
 def build_key() -> str:
@@ -33,16 +57,27 @@ def build_key() -> str:
     return ", ".join(parts)
 
 
+def run_child(*args: str) -> bytes:
+    """stdout of ``python *args`` at one BLAS thread, with this irlskit importable."""
+    src = str(Path(irlskit.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True).stdout
+
+
+def check_digests(group: str, got: dict) -> None:
+    recorded = json.loads(DIGESTS.read_text()).get(build_key(), {}).get(group)
+    assert recorded is not None, f"no {group} digests recorded for build {build_key()!r}; computed {got}"
+    assert got == recorded
+
+
 def test_trace_csv_digests(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TRACE_CONFIG))
     out = tmp_path / "out"
-    src = str(Path(irlskit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "irlskit.cli", "trace", "--config", str(config), "--out", str(out)]
-    subprocess.run(argv, env=env, check=True, capture_output=True)
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    recorded = json.loads(DIGESTS.read_text()).get(build_key())
-    assert recorded is not None, f"no digests recorded for build {build_key()!r}; computed {got}"
-    assert got == recorded["trace"]
+    run_child("-m", "irlskit.cli", "trace", "--config", str(config), "--out", str(out))
+    check_digests("trace", {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())})
+
+
+def test_verify_result_digests():
+    check_digests("verify", {"results.txt": hashlib.sha256(run_child("-c", VERIFY_SCRIPT)).hexdigest()})

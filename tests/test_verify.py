@@ -923,6 +923,9 @@ def _binomials(draw):
 @example((40, 40)).via("k = n")
 @example((40, 36)).via("k > n/2, several blocks")
 @example((17, 9)).via("k > n/2, many blocks")
+@example((40, 38)).via("k near n")
+@example((60, 57)).via("k near n, many blocks")
+@example((68, 66)).via("uncapped C(67, 33) > 2**63")
 def test_support_chunks_match_combinations(nk):
     n, k = nk
     rows = itertools.combinations(range(n), k)
