@@ -124,9 +124,12 @@ def null_space_basis(phi: SensingMatrix) -> np.ndarray:
     _, sv, vh = np.linalg.svd(phi.entries)
     if sv[0] > 0 and np.count_nonzero(sv > RANK_RTOL * sv[0]) < m:
         raise RankDeficientError("matrix lost full row rank")
-    basis = vh[m:].T.copy()
-    lead = np.argmax(np.abs(basis), axis=0)  # the first index on ties
-    np.negative(basis, out=basis, where=basis[lead, np.arange(n - m)] < 0)
+    rows, cols = vh[m:], np.arange(n - m)  # one kernel vector per contiguous row: no copy, no |B|
+    hi, lo = np.argmax(rows, axis=1), np.argmin(rows, axis=1)
+    top, bottom = rows[cols, hi], -rows[cols, lo]
+    # the lead entry (largest magnitude, first index on ties) is negative where the minimum wins
+    basis = rows.T.copy()
+    np.negative(basis, out=basis, where=(bottom > top) | ((bottom == top) & (lo < hi)))
     basis.flags.writeable = False
     return basis
 
@@ -187,15 +190,15 @@ def _write_rows(path, header: str, a: np.ndarray) -> None:
     line = " ".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for row in a.tolist():
-            fh.write(line % tuple(row))
+        for row in a:  # one row of Python floats at a time
+            fh.write(line % tuple(row.tolist()))
 
 
 def _read_rows(path, header_names: str) -> np.ndarray:
     """(m, N) array from a file whose first line holds the counts ``header_names``.
 
-    Exactly the declared rows are read and only whitespace may follow them;
-    numpy's parser converts the values.  Every ``ValueError`` names the file.
+    Exactly the declared rows are streamed to numpy's parser and only
+    whitespace may follow them.  Every ``ValueError`` names the file.
     """
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
@@ -203,16 +206,17 @@ def _read_rows(path, header_names: str) -> np.ndarray:
             raise ValueError(f"{path}: expected header '{header_names}'")
         counts = [int(tok) for tok in header]
         m, n = counts if len(counts) == 2 else (1, counts[0])
-        lines = list(itertools.islice(fh, m))  # stops early at the end of a short file
+        rows = itertools.islice(fh, m)  # stops early at the end of a short file
+        first = next((line for line in rows if line.strip()), None)
+        if first is not None:
+            try:
+                arr = np.loadtxt(itertools.chain([first], rows), ndmin=2, comments=None)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+        else:  # no values at all (np.loadtxt would warn): fine only for an empty shape
+            arr = np.empty((m, n) if m * n == 0 else (0, n))
         if fh.read().strip():
             raise ValueError(f"{path}: unexpected content after {m} rows")
-    if any(line.strip() for line in lines):
-        try:
-            arr = np.loadtxt(lines, ndmin=2, comments=None)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    else:  # no values at all (np.loadtxt would warn): fine only for an empty shape
-        arr = np.empty((m, n) if m * n == 0 else (0, n))
     if arr.shape != (m, n):
         raise ValueError(f"{path}: expected {m} rows of {n} values, got shape {arr.shape}")
     return arr

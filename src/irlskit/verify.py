@@ -13,7 +13,8 @@ so sigma_min errs by about u sigma_max^2/(2 sigma_min); supports with
 sigma_min < 1e-3 sigma_max get an SVD instead, which keeps delta within
 1e-12 max(1, delta) of an all-SVD enumeration.  The l1 oracle's dual simplex runs without
 presolve, which removes nothing from the dense split-variable program
-yet costs more than the simplex itself.  Null-space property constants
+yet costs more than the simplex itself; scipy's LP stack is loaded on
+the first LP.  Null-space property constants
 are exact for small null spaces (dimension <= 4): the worst mass ratio
 over the kernel is attained at a vertex of ``{c : ||Bc||_1 <= 1}``, and
 every vertex direction is the kernel of some (d-1)-subset of rows of
@@ -28,12 +29,12 @@ Carlo lower bound instead; honest reporting beats silent approximation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     BudgetExceededError,
@@ -49,6 +50,7 @@ RIP_SUPPORT_BUDGET = 2_000_000
 SPARSE_ORACLE_BUDGET = 1_000_000
 L1_ORACLE_MAX_COLS = 2000
 _CHUNK = 512  # rows per block of enumerated supports
+_MC_BLOCK = 1024  # rows per block of Monte Carlo directions
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -87,7 +89,7 @@ def _support_chunks(n: int, k: int):
     total = math.comb(n, k)
     # binom[s - 1, x] = C(x, s), capped at C(n, k) > c so that no entry overflows int64
     binom = np.array([[min(math.comb(x, s), total) for x in range(n)] for s in range(1, k + 1)], dtype=np.int64)
-    step = _CHUNK * max(1, 2**14 // (_CHUNK * k))  # whole blocks, at most 2**14 indices a batch
+    step = _CHUNK * max(1, 2**14 // (_CHUNK * max(k, 1)))  # whole blocks, at most 2**14 indices a batch
     for start in range(0, total, step):
         c = total - 1 - np.arange(start, min(start + step, total), dtype=np.int64)
         rows = np.empty((len(c), k), dtype=int)
@@ -238,15 +240,17 @@ def exact_nsp_profile(phi: SensingMatrix) -> np.ndarray:
 
 
 def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, rng: np.random.Generator) -> float:
-    """Largest top-``order`` mass ratio over ``samples`` normals from ``rng``,
-    drawn in 4096-row blocks as the scan reaches them, then over the normalised
-    basis rows and the identity; a max over rows, so blocks cannot change it."""
+    """Largest top-``order`` mass ratio over ``samples`` normals from ``rng``, then over the
+    normalised basis rows and the identity, built and scanned ``_MC_BLOCK`` rows at a time;
+    a max over rows of one stream, so the block size cannot change it."""
     n, dim = basis.shape
-    extremes = basis / np.maximum(np.linalg.norm(basis, axis=1, keepdims=True), 1e-300)
-    tail = np.vstack([extremes, np.eye(dim)])  # scanned after the normals
+    norms = np.maximum(np.linalg.norm(basis, axis=1, keepdims=True), 1e-300)
     best = 0.0
-    for i in range(0, samples + 4096, 4096):
-        block = rng.normal(size=(min(4096, samples - i), dim)) if i < samples else tail
+    for block in itertools.chain(
+        (rng.normal(size=(min(_MC_BLOCK, samples - i), dim)) for i in range(0, samples, _MC_BLOCK)),
+        (basis[i : i + _MC_BLOCK] / norms[i : i + _MC_BLOCK] for i in range(0, n, _MC_BLOCK)),
+        (np.eye(min(_MC_BLOCK, dim - i), dim, i) for i in range(0, dim, _MC_BLOCK)),
+    ):
         a = block @ basis.T
         np.abs(a, out=a)
         if tau != 1.0:
@@ -359,6 +363,7 @@ def sparse_oracle(
 
 def _highs(cost: np.ndarray, **constraints):
     """Dual-simplex ``linprog`` without presolve (see the module docstring); ``None`` if infeasible."""
+    from scipy.optimize import linprog  # the LP stack (about 240 modules) loads on the first LP
     res = linprog(cost, method="highs-ds", options={"presolve": False}, **constraints)
     if res.status not in (0, 2):
         raise IrlsKitError(f"LP solver failed: {res.message}")

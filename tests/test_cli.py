@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irlskit
 from irlskit.cli import build_parser, main
 from irlskit.linalg import write_matrix, write_vector
 from irlskit.plotting import emit_plot
@@ -61,6 +65,58 @@ def test_recover_rejects_trailing_matrix_rows(tiny_files, tmp_path, capsys):
     assert code == 2
     assert "phi.mat" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("1 0 1\n\n0 1 1\n", "unexpected content after 2 rows"),  # a blank line between rows
+        ("\n\n", "expected 2 rows of 3 values, got shape (0, 3)"),
+        ("1 0 1\n", "expected 2 rows of 3 values, got shape (1, 3)"),
+        ("1 0 1\n0 1 1\n1 1 1\n", "unexpected content after 2 rows"),
+        ("1 0 x\n0 1 1\n", "could not convert string 'x' to float64 at row 0, column 3"),
+        ("1 0 x\n0 1 1\n1 1 1\n", "could not convert string 'x'"),  # the bad token reports first
+    ],
+    ids=["blank-between-rows", "all-blank", "short", "trailing", "bad-token", "bad-token-and-trailing"],
+)
+def test_recover_rejects_malformed_matrix_text(tiny_files, tmp_path, capsys, body, message):
+    matrix, rhs = tiny_files
+    Path(matrix).write_text("2 3\n" + body)
+    out = tmp_path / "result.json"
+    code = main(["recover", "--matrix", matrix, "--rhs", rhs, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{matrix}: {message}" in err
+    assert not out.exists()
+
+
+LP_PROBE = """
+import contextlib, io, json, sys
+import irlskit, irlskit.cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert irlskit.cli.main(argv) == 0, argv
+    loaded.append("scipy.optimize" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_lp_stack_loads_only_for_an_lp(tiny_files, tmp_path):
+    matrix, rhs = tiny_files
+    config = tmp_path / "trace.json"
+    config.write_text(json.dumps({"m": 10, "N": 30, "k": 2, "tau_list": [1.0], "master_seed": 1}))
+    commands = [
+        ["recover", "--matrix", matrix, "--rhs", rhs, "--out", str(tmp_path / "r.json")],
+        ["trace", "--config", str(config), "--out", str(tmp_path / "trace")],
+        ["check", "--matrix", matrix, "--rip", "2"],
+        ["oracle", "--matrix", matrix, "--rhs", rhs, "--l1"],
+    ]
+    src = str(Path(irlskit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LP_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [False, False, False, True]
 
 
 def test_check_nsp_tiny(tiny_files, capsys):
@@ -349,7 +405,7 @@ def test_budget_error_exit_code(tmp_path, capsys, monkeypatch):
     # Full row rank puts every y in the range, so real input never makes the
     # LP infeasible; a stub solver reporting status 2 stands in for it.
     monkeypatch.setattr(
-        "irlskit.verify.linprog", lambda *args, **kwargs: SimpleNamespace(status=2)
+        "scipy.optimize.linprog", lambda *args, **kwargs: SimpleNamespace(status=2)
     )
     code = main(["oracle", "--matrix", str(matrix), "--rhs", str(rhs), "--l1"])
     captured = capsys.readouterr()

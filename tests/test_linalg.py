@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,21 @@ def test_vector_roundtrip(tmp_path):
     path = tmp_path / "v.vec"
     write_vector(path, v)
     assert np.array_equal(read_vector(path), v)
+
+
+def test_text_io_streams_rows(tmp_path):
+    # neither side holds the matrix as Python floats or lines of text
+    a = np.random.default_rng(10).normal(size=(200, 1000))
+    path = tmp_path / "big.mat"
+    for call in (lambda: write_matrix(path, a), lambda: read_matrix(path)):
+        tracemalloc.start()
+        try:
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= a.nbytes + 1_000_000
+    assert np.array_equal(got, a)
 
 
 def test_read_accepts_scientific_notation(tmp_path):

@@ -5,7 +5,9 @@ Each group runs in a child interpreter at one BLAS thread.  ``trace``:
 ``verify``: the 17g text of RIP constants, sparse-oracle fits and exact NSP
 profiles on seeded Gaussian matrices, on both sides of k = N/2; each
 sparse-oracle right-hand side lies in the span of fewer than k columns, so
-many supports tie and the lex-first one must win.  Every digest must equal
+many supports tie and the lex-first one must win.  ``montecarlo``: the 17g
+Monte Carlo NSP lower bounds at orders 1-3, tau 1 and 0.6, and sample
+counts that are multiples of no block size.  Every digest must equal
 the one recorded in ``tests/data/output_digests.json`` for the running
 build.  The build key names the numpy and scipy versions and the BLAS each
 was built against.  On a build with no recorded digests the test fails
@@ -47,6 +49,18 @@ for m, n, k, planted, seed in ((16, 32, 3, 2, 3), (9, 12, 7, 5, 4)):
 for m, n, seed in ((8, 12, 5), (1, 5, 6)):
     print(f"nsp {m}x{n}: {text(exact_nsp_profile(gen_gaussian_matrix(m, n, seed)))}")
 """
+MONTECARLO_SCRIPT = """
+from irlskit.experiments import gen_gaussian_matrix
+from irlskit.verify import nsp_constant
+
+for m, n, seed in ((8, 12, 7), (30, 60, 8), (10, 20, 5)):
+    phi = gen_gaussian_matrix(m, n, seed)
+    for order in (1, 2, 3):
+        for tau in (1.0, 0.6):
+            for samples in (4097, 5000):
+                gamma = nsp_constant(phi, order, tau, "montecarlo", samples, seed=order).constant
+                print(f"mc {m}x{n} order {order} tau {tau:g} samples {samples}: {gamma:.17g}")
+"""
 
 
 def build_key() -> str:
@@ -81,3 +95,7 @@ def test_trace_csv_digests(tmp_path):
 
 def test_verify_result_digests():
     check_digests("verify", {"results.txt": hashlib.sha256(run_child("-c", VERIFY_SCRIPT)).hexdigest()})
+
+
+def test_montecarlo_nsp_digests():
+    check_digests("montecarlo", {"results.txt": hashlib.sha256(run_child("-c", MONTECARLO_SCRIPT)).hexdigest()})

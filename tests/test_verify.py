@@ -390,6 +390,20 @@ def test_nsp_exact_dimension_guard():
         nsp_constant(phi, 2, method="montecarlo", samples=-1)
 
 
+def test_mc_scan_footprint_does_not_grow_with_samples():
+    # the directions are drawn and scanned in bounded blocks, the tail included
+    basis = null_space_basis(_gaussian(np.random.default_rng(9), 50, 250))
+    peaks = []
+    for samples in (4000, 40000):
+        tracemalloc.start()
+        try:
+            verify._mc_gamma(basis, 5, 1.0, samples, np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.01 * peaks[0]
+
+
 @pytest.mark.parametrize("method", ["ExactEnumeration", "Monte-Carlo"])
 def test_nsp_method_names_are_exact(method):
     with pytest.raises(ValueError, match="unknown method"):
@@ -691,7 +705,7 @@ def test_minimality_fully_supported_violated():
 def test_lp_failure_other_than_infeasible_raises(monkeypatch, call):
     # status 4 is HiGHS's "numerical difficulties"; only status 2 (infeasible) has a fallback
     failed = SimpleNamespace(status=4, message="numerical difficulties")
-    monkeypatch.setattr(verify, "linprog", lambda *args, **kwargs: failed)
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
     with pytest.raises(IrlsKitError, match="LP solver failed: numerical difficulties"):
         call()
 
@@ -914,7 +928,7 @@ def test_rip_bound_dominates_exact_nsp():
 @st.composite
 def _binomials(draw):
     n = draw(st.integers(1, 40))
-    return n, draw(st.sampled_from([k for k in range(1, n + 1) if math.comb(n, k) <= 100_000]))
+    return n, draw(st.sampled_from([k for k in range(n + 1) if math.comb(n, k) <= 100_000]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -926,6 +940,7 @@ def _binomials(draw):
 @example((40, 38)).via("k near n")
 @example((60, 57)).via("k near n, many blocks")
 @example((68, 66)).via("uncapped C(67, 33) > 2**63")
+@example((5, 0)).via("k = 0: one empty row")
 def test_support_chunks_match_combinations(nk):
     n, k = nk
     rows = itertools.combinations(range(n), k)
@@ -933,6 +948,11 @@ def test_support_chunks_match_combinations(nk):
         assert block.dtype == np.dtype(int)
         assert block.tolist() == [list(c) for c in itertools.islice(rows, 512)]
     assert next(rows, None) is None
+
+
+def test_support_chunks_of_size_zero():
+    blocks = list(_support_chunks(5, 0))
+    assert len(blocks) == 1 and blocks[0].shape == (1, 0) and blocks[0].dtype == np.dtype(int)
 
 
 def test_support_chunks_hold_a_few_blocks():
