@@ -242,12 +242,13 @@ def exact_nsp_profile(phi: SensingMatrix) -> np.ndarray:
 def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, rng: np.random.Generator) -> float:
     """Largest top-``order`` mass ratio over ``samples`` normals from ``rng``, then over the
     normalised basis rows and the identity, built and scanned ``_MC_BLOCK`` rows at a time;
-    a max over rows of one stream, so the block size cannot change it."""
+    a max over rows of one stream, so the block size cannot change it.  Each block and its
+    product are released before the next is built, so one block is held at a time."""
     n, dim = basis.shape
     norms = np.maximum(np.linalg.norm(basis, axis=1, keepdims=True), 1e-300)
     best = 0.0
     for block in itertools.chain(
-        (rng.normal(size=(min(_MC_BLOCK, samples - i), dim)) for i in range(0, samples, _MC_BLOCK)),
+        (rng.standard_normal((min(_MC_BLOCK, samples - i), dim)) for i in range(0, samples, _MC_BLOCK)),
         (basis[i : i + _MC_BLOCK] / norms[i : i + _MC_BLOCK] for i in range(0, n, _MC_BLOCK)),
         (np.eye(min(_MC_BLOCK, dim - i), dim, i) for i in range(0, dim, _MC_BLOCK)),
     ):
@@ -261,6 +262,7 @@ def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, rng: np.r
         if not np.all(rest > 0):
             return math.inf
         best = max(best, float(np.max(top / rest)))
+        del block, a
     return best
 
 

@@ -391,8 +391,10 @@ def test_nsp_exact_dimension_guard():
 
 
 def test_mc_scan_footprint_does_not_grow_with_samples():
-    # the directions are drawn and scanned in bounded blocks, the tail included
+    # the directions are drawn and scanned in bounded blocks, the tail included,
+    # and each block with its product is released before the next is drawn
     basis = null_space_basis(_gaussian(np.random.default_rng(9), 50, 250))
+    n, dim = basis.shape
     peaks = []
     for samples in (4000, 40000):
         tracemalloc.start()
@@ -402,6 +404,7 @@ def test_mc_scan_footprint_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.01 * peaks[0]
+    assert max(peaks) <= verify._MC_BLOCK * (dim + n) * 8 + 1_000_000
 
 
 @pytest.mark.parametrize("method", ["ExactEnumeration", "Monte-Carlo"])
