@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh, svdvals
 from scipy.linalg.blas import dgemv, dsyrk
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpocon, dpotrf, dpotrs
 
 from .errors import IllConditionedError, RankDeficientError
 
@@ -115,20 +115,19 @@ class SensingMatrix:
 def null_space_basis(phi: SensingMatrix) -> np.ndarray:
     """Orthonormal basis of the (N - m)-dimensional kernel of ``phi``.
 
-    Returns a read-only (N, N - m) array whose columns are pairwise
-    orthonormal and annihilated by ``phi``.  Deterministic for a fixed
-    input: the basis comes from the SVD and each column's sign is fixed so
-    its largest-magnitude entry (first index on ties) is positive.
+    A read-only (N, N - m) Fortran-ordered array: the last N - m columns of Q in
+    ``Phi^T = QR`` (scipy's ``dgeqrf``, then a blocked ``dormqr`` on ``[0; I]``).
+    Each column's sign makes its largest-magnitude entry (first on ties) positive.
     """
     m, n = phi.shape
-    _, sv, vh = np.linalg.svd(phi.entries)
-    if sv[0] > 0 and np.count_nonzero(sv > RANK_RTOL * sv[0]) < m:
-        raise RankDeficientError("matrix lost full row rank")
-    rows, cols = vh[m:], np.arange(n - m)  # one kernel vector per contiguous row: no copy, no |B|
-    hi, lo = np.argmax(rows, axis=1), np.argmin(rows, axis=1)
-    top, bottom = rows[cols, hi], -rows[cols, lo]
+    qr, tau, _, _ = dgeqrf(phi.entries.T, lwork=int(dgeqrf_lwork(n, m)[0]))
+    basis = np.zeros((n, n - m), order="F")
+    basis.T.reshape(-1)[m :: n + 1] = 1.0  # [0; I], written in place: no N x N array
+    lwork = int(dormqr("L", "N", qr, tau, basis, -1, overwrite_c=1)[1][0])  # workspace query
+    basis, cols = dormqr("L", "N", qr, tau, basis, lwork, overwrite_c=1)[0], np.arange(n - m)
+    hi, lo = np.argmax(basis, axis=0), np.argmin(basis, axis=0)  # along contiguous columns, no |B|
+    top, bottom = basis[hi, cols], -basis[lo, cols]
     # the lead entry (largest magnitude, first index on ties) is negative where the minimum wins
-    basis = rows.T.copy()
     np.negative(basis, out=basis, where=(bottom > top) | ((bottom == top) & (lo < hi)))
     basis.flags.writeable = False
     return basis

@@ -35,13 +35,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
-from .errors import (
-    BudgetExceededError,
-    DimensionTooLargeError,
-    InfeasibleError,
-    IrlsKitError,
-)
+from .errors import BudgetExceededError, DimensionTooLargeError, InfeasibleError, IrlsKitError
 from .linalg import SensingMatrix, _as_float_array, _as_float_vector, _check_tau, make_rng, null_space_basis
 
 EXACT_NSP_MAX_DIM = 4
@@ -243,7 +239,7 @@ def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, rng: np.r
     """Largest top-``order`` mass ratio over ``samples`` normals from ``rng``, then over the
     normalised basis rows and the identity, built and scanned ``_MC_BLOCK`` rows at a time;
     a max over rows of one stream, so the block size cannot change it.  Each block and its
-    product are released before the next is built, so one block is held at a time."""
+    product (scipy's ``dgemm``, the BLAS of ``null_space_basis``) are freed before the next."""
     n, dim = basis.shape
     norms = np.maximum(np.linalg.norm(basis, axis=1, keepdims=True), 1e-300)
     best = 0.0
@@ -252,7 +248,7 @@ def _mc_gamma(basis: np.ndarray, order: int, tau: float, samples: int, rng: np.r
         (basis[i : i + _MC_BLOCK] / norms[i : i + _MC_BLOCK] for i in range(0, n, _MC_BLOCK)),
         (np.eye(min(_MC_BLOCK, dim - i), dim, i) for i in range(0, dim, _MC_BLOCK)),
     ):
-        a = block @ basis.T
+        a = dgemm(1.0, basis, block.T).T  # (b, N) C-ordered rows; no copy of an F-ordered basis
         np.abs(a, out=a)
         if tau != 1.0:
             a **= tau

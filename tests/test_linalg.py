@@ -16,6 +16,7 @@ from irlskit import (
     weighted_ls_solve,
 )
 from irlskit import linalg
+from irlskit.linalg import dormqr as linalg_dormqr
 from irlskit.linalg import (
     RANK_RTOL,
     read_matrix,
@@ -152,12 +153,21 @@ def _signs_by_column(basis):
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_null_space_basis_signs_match_column_loop(m, extra, seed):
     entries = np.random.default_rng(seed).normal(size=(m, m + extra))
-    basis = null_space_basis(SensingMatrix(entries))
-    assert np.array_equal(basis, _signs_by_column(np.linalg.svd(entries)[2][m:].T))
+    applied = []  # copies of what dormqr returns: the query's, then the unsigned kernel columns of Q
+
+    def dormqr(*args, **kwargs):
+        out = linalg_dormqr(*args, **kwargs)
+        applied.append(out[0].copy())
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "dormqr", dormqr)
+        basis = null_space_basis(SensingMatrix(entries))
+    assert np.array_equal(basis, _signs_by_column(applied[-1]))
 
 
 def test_null_space_basis_signs_on_tied_magnitudes(monkeypatch):
-    # kernel rows of V^T whose largest magnitudes tie between entries of opposite sign
+    # kernel columns (rows 1-4 here) whose largest magnitudes tie between entries of opposite sign
     vh = np.array([
         [1.0, 0.0, 0.0, 0.0, 0.0],
         [-0.5, 0.5, -0.5, 0.5, 0.0],
@@ -165,7 +175,7 @@ def test_null_space_basis_signs_on_tied_magnitudes(monkeypatch):
         [0.0, -0.25, 0.25, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0],
     ])
-    monkeypatch.setattr(np.linalg, "svd", lambda a: (np.eye(1), np.ones(1), vh))
+    monkeypatch.setattr(linalg, "dormqr", lambda *args, **kwargs: (vh[1:].T.copy(order="F"), np.ones(1), 0))
     basis = null_space_basis(SensingMatrix([[1.0, 2.0, 3.0, 4.0, 5.0]]))
     assert np.array_equal(basis, _signs_by_column(vh[1:].T))
     assert basis.T.tolist() == [
@@ -174,6 +184,29 @@ def test_null_space_basis_signs_on_tied_magnitudes(monkeypatch):
         [0.0, 0.25, -0.25, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0],
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_null_space_basis_spans_the_svd_kernel(m, extra, seed):
+    entries = np.random.default_rng(seed).normal(size=(m, m + extra))
+    basis = null_space_basis(SensingMatrix(entries))
+    kernel = np.linalg.svd(entries)[2][m:]
+    assert np.max(np.abs(entries @ basis)) <= 1e-14 * np.linalg.norm(entries, 2)
+    assert np.max(np.abs(basis.T @ basis - np.eye(extra))) <= 1e-13
+    assert np.max(np.abs(basis @ basis.T - kernel.T @ kernel)) <= 1e-12
+
+
+def test_null_space_basis_forms_no_square_array():
+    # besides its N x (N - m) result, a call holds less than one N x N array of doubles
+    phi = SensingMatrix(np.random.default_rng(11).normal(size=(100, 600)))
+    tracemalloc.start()
+    try:
+        basis = null_space_basis(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - basis.nbytes < 600 * 600 * 8
 
 
 def test_weighted_ls_symmetric():

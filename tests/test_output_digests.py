@@ -49,6 +49,14 @@ for m, n, k, planted, seed in ((16, 32, 3, 2, 3), (9, 12, 7, 5, 4)):
 for m, n, seed in ((8, 12, 5), (1, 5, 6)):
     print(f"nsp {m}x{n}: {text(exact_nsp_profile(gen_gaussian_matrix(m, n, seed)))}")
 """
+EXACT_NSP_SCRIPT = """
+from irlskit.experiments import gen_gaussian_matrix
+from irlskit.verify import exact_nsp_profile
+
+for m, n in ((8, 12), (11, 12), (12, 16)):
+    for seed in range(5):
+        print(exact_nsp_profile(gen_gaussian_matrix(m, n, seed)).tobytes().hex())
+"""
 MONTECARLO_SCRIPT = """
 from irlskit.experiments import gen_gaussian_matrix
 from irlskit.verify import nsp_constant
@@ -71,10 +79,10 @@ def build_key() -> str:
     return ", ".join(parts)
 
 
-def run_child(*args: str) -> bytes:
-    """stdout of ``python *args`` at one BLAS thread, with this irlskit importable."""
+def run_child(*args: str, threads: str = "1") -> bytes:
+    """stdout of ``python *args`` at ``threads`` BLAS threads, with this irlskit importable."""
     src = str(Path(irlskit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True).stdout
 
@@ -99,3 +107,8 @@ def test_verify_result_digests():
 
 def test_montecarlo_nsp_digests():
     check_digests("montecarlo", {"results.txt": hashlib.sha256(run_child("-c", MONTECARLO_SCRIPT)).hexdigest()})
+
+
+def test_exact_nsp_profiles_independent_of_blas_threads():
+    # every exact-NSP shape keeps its kernel basis, and so its profile, off OpenBLAS's threaded paths
+    assert run_child("-c", EXACT_NSP_SCRIPT, threads="1") == run_child("-c", EXACT_NSP_SCRIPT, threads="2")
