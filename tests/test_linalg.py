@@ -16,7 +16,6 @@ from irlskit import (
     weighted_ls_solve,
 )
 from irlskit import linalg
-from irlskit.linalg import dormqr as linalg_dormqr
 from irlskit.linalg import (
     RANK_RTOL,
     read_matrix,
@@ -153,10 +152,10 @@ def _signs_by_column(basis):
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_null_space_basis_signs_match_column_loop(m, extra, seed):
     entries = np.random.default_rng(seed).normal(size=(m, m + extra))
-    applied = []  # copies of what dormqr returns: the query's, then the unsigned kernel columns of Q
+    applied, lapack_dormqr = [], linalg.dormqr  # copies of each result: the query's, then Q's unsigned kernel columns
 
     def dormqr(*args, **kwargs):
-        out = linalg_dormqr(*args, **kwargs)
+        out = lapack_dormqr(*args, **kwargs)
         applied.append(out[0].copy())
         return out
 

@@ -7,7 +7,8 @@ profiles on seeded Gaussian matrices, on both sides of k = N/2; each
 sparse-oracle right-hand side lies in the span of fewer than k columns, so
 many supports tie and the lex-first one must win.  ``montecarlo``: the 17g
 Monte Carlo NSP lower bounds at orders 1-3, tau 1 and 0.6, and sample
-counts that are multiples of no block size.  Every digest must equal
+counts that are multiples of no block size.  Exact NSP profiles must also
+give equal bytes at 1 and 2 BLAS threads.  Every digest must equal
 the one recorded in ``tests/data/output_digests.json`` for the running
 build.  The build key names the numpy and scipy versions and the BLAS each
 was built against.  On a build with no recorded digests the test fails
@@ -110,5 +111,5 @@ def test_montecarlo_nsp_digests():
 
 
 def test_exact_nsp_profiles_independent_of_blas_threads():
-    # every exact-NSP shape keeps its kernel basis, and so its profile, off OpenBLAS's threaded paths
+    # exact-NSP shapes (N <= 16) are too small for OpenBLAS to thread the QR behind the kernel basis
     assert run_child("-c", EXACT_NSP_SCRIPT, threads="1") == run_child("-c", EXACT_NSP_SCRIPT, threads="2")
