@@ -138,27 +138,19 @@ def _cmd_oracle(args) -> int:
     phi = SensingMatrix(read_matrix(args.matrix))
     y = read_vector(args.rhs)
     if args.l1:
-        x, maybe_nonunique = l1_oracle(phi, y, full_output=True)
-        print(
-            json.dumps(
-                {
-                    "x": [float(v) for v in x],
-                    "l1_norm": float(sum(abs(v) for v in x)),
-                    "maybe_nonunique": maybe_nonunique,
-                }
-            )
-        )
+        x = l1_oracle(phi, y)
+        doc = {
+            "x": [float(v) for v in x],
+            "l1_norm": float(sum(abs(v) for v in x)),
+        }
     else:
         support, x, residual = sparse_oracle(phi, y, args.k)
-        print(
-            json.dumps(
-                {
-                    "support": list(support),
-                    "x": [float(v) for v in x],
-                    "residual": residual,
-                }
-            )
-        )
+        doc = {
+            "support": list(support),
+            "x": [float(v) for v in x],
+            "residual": residual,
+        }
+    print(json.dumps(doc))
     return 0
 
 

@@ -70,11 +70,11 @@ def gen_gaussian_matrix(m: int, n: int, seed: int) -> SensingMatrix:
     return SensingMatrix(entries)
 
 
-def _check_gap_ratio(gap_ratio: float | None, k: int) -> None:
+def _check_gap_ratio(gap_ratio: float | None, k: int, n: int) -> None:
     if gap_ratio is not None and not gap_ratio > 0:
         raise ValueError(f"gap_ratio must be positive, got {gap_ratio}")
-    if gap_ratio is not None and k == 0:
-        raise ValueError("gap_ratio requires k >= 1")
+    if gap_ratio is not None and not 0 < k < n:  # the gap is taken against the tail beyond k
+        raise ValueError(f"gap_ratio requires 1 <= k < N, got k = {k}, N = {n}")
 
 
 def gen_sparse_vector(
@@ -89,7 +89,7 @@ def gen_sparse_vector(
     """
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
-    _check_gap_ratio(gap_ratio, k)
+    _check_gap_ratio(gap_ratio, k, n)
     rng = make_rng(seed)
     z = np.zeros(n)
     if k > 0:
@@ -156,7 +156,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.success_tol >= 0:
             raise ValueError(f"success_tol must be non-negative, got {self.success_tol}")
-        _check_gap_ratio(self.gap_ratio, self.k)
+        _check_gap_ratio(self.gap_ratio, self.k, self.N)
         if self.k_list is not None and not (self.k_list and all(0 <= k <= self.m for k in self.k_list)):
             raise ValueError(f"k_list must be a non-empty list of entries in [0, m], got {self.k_list}")
         if not self.tau_list:

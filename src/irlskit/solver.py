@@ -312,13 +312,17 @@ def theoretical_contraction_factor(
         raise ValueError("rho must be in (0, 1)")
     if not 0 < gamma < 1:
         raise ValueError("gamma must be in (0, 1)")
-    if k > K:
-        raise ValueError("need k <= K")
+    if not K >= 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    if not 0 <= k <= K:
+        raise ValueError(f"k must be in [0, K={K}], got {k}")
     _check_tau(tau)
     if tau == 1.0:
         return gamma * (1.0 + gamma) / (1.0 - rho) * (1.0 + 1.0 / (K + 1 - k))
-    if n_cols is None or r_k is None or not r_k > 0:
-        raise ValueError("tau < 1 needs n_cols and positive r_k")
+    if n_cols is None or not n_cols >= 1:
+        raise ValueError(f"tau < 1 needs n_cols >= 1, got {n_cols}")
+    if r_k is None or not 0 < r_k < math.inf:
+        raise ValueError(f"tau < 1 needs a finite positive r_k, got {r_k}")
     a_const = 1.0 / (r_k ** (1.0 - tau) * (1.0 - rho) ** (2.0 - tau))
     return (
         2.0 ** (1.0 - tau)

@@ -35,10 +35,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import svdvals
 from scipy.linalg.blas import dgemm
 
 from .errors import BudgetExceededError, DimensionTooLargeError, InfeasibleError, IrlsKitError
-from .linalg import SensingMatrix, _as_float_array, _as_float_vector, _check_tau, make_rng, null_space_basis
+from .linalg import RANK_RTOL, SensingMatrix, _as_float_array, _as_float_vector, _check_tau, make_rng, null_space_basis
 
 EXACT_NSP_MAX_DIM = 4
 EXACT_NSP_MAX_COLS = 16
@@ -368,17 +369,14 @@ def _highs(cost: np.ndarray, **constraints):
     return res if res.status == 0 else None
 
 
-def l1_oracle(phi: SensingMatrix, y: np.ndarray, full_output: bool = False):
+def l1_oracle(phi: SensingMatrix, y: np.ndarray) -> np.ndarray:
     """Minimum-l1-norm solution of ``Phi x = y`` by linear programming.
 
     Solves the split-variable program ``min sum(u + v)`` subject to
     ``Phi (u - v) = y``, ``u, v >= 0`` with a dual-simplex method
     (anti-cycling rules built in), so the returned point is a vertex of
-    the solution polytope.  ``full_output=True`` returns ``(x, maybe_nonunique)``.
-    The flag marks a zero entry of x with zero reduced cost.  A vertex with
-    fewer than m nonzeros (primal-degenerate) mostly keeps such an entry in
-    its basis, so the flag is set on most sparse instances, unique minimizers
-    included.  It certifies nothing; :func:`l1_minimality_check` decides.
+    the solution polytope.  Whether it is the only minimizer is answered
+    by ``l1_minimality_check(x, null_space_basis(phi)).unique``.
     """
     m, n = phi.shape
     if n > L1_ORACLE_MAX_COLS:
@@ -389,16 +387,7 @@ def l1_oracle(phi: SensingMatrix, y: np.ndarray, full_output: bool = False):
     res = _highs(cost, A_eq=a_eq, b_eq=y, bounds=(0, None))
     if res is None:
         raise InfeasibleError("right-hand side outside the range of the matrix")
-    x = res.x[:n] - res.x[n:]
-    if not full_output:
-        return x
-    lam = res.eqlin.marginals
-    rc = phi.entries.T @ lam
-    inactive = np.abs(x) < 1e-12
-    maybe_nonunique = bool(
-        np.any(inactive & ((np.abs(1.0 - rc) < 1e-10) | (np.abs(1.0 + rc) < 1e-10)))
-    )
-    return x, maybe_nonunique
+    return res.x[:n] - res.x[n:]
 
 
 @dataclass(frozen=True)
@@ -406,11 +395,14 @@ class MinimalityCheck:
     """Outcome of the l1-minimality sign test.
 
     ``status`` is "Certified" or "Violated"; a violation carries a witness
-    kernel vector that breaks the sign condition.
+    kernel vector that breaks the sign condition.  ``unique`` marks the only
+    minimizer: Certified, LP optimum t* < 1 - 1e-9 and ``B_off`` of full
+    column rank (details in :func:`l1_minimality_check`).
     """
 
     status: str
     witness: np.ndarray | None = None
+    unique: bool = False
 
 
 def l1_minimality_check(x: np.ndarray, basis: np.ndarray) -> MinimalityCheck:
@@ -419,16 +411,22 @@ def l1_minimality_check(x: np.ndarray, basis: np.ndarray) -> MinimalityCheck:
     ``basis`` is the kernel basis B from :func:`null_space_basis`.  ``x``
     minimizes the l1 norm over ``{z : Phi z = Phi x}`` if and only if
     ``|sum_{x_i != 0} sign(x_i) eta_i| <= sum_{x_i = 0} |eta_i|`` for every
-    kernel vector ``eta`` (non-strict inequality suffices for minimality;
-    strictness everywhere governs uniqueness), that is if ``max g . c``
-    over ``||B_off c||_1 <= 1``, with ``g = B^T sign(x)``, is at most 1.
-    One LP finds that maximum exactly in its dual-certificate form,
-    ``min t`` subject to ``B_off^T u = g`` and ``|u_i| <= t`` (Fuchs, IEEE
-    Trans. Inf. Theory 50(6), 2004).  A violation's witness is ``B c`` for
+    kernel vector ``eta``, that is if t* = ``max g . c`` over
+    ``||B_off c||_1 <= 1``, with ``g = B^T sign(x)``, is at most 1 (certified
+    when t* <= 1 + 1e-9).  One LP finds t* exactly in its dual-certificate
+    form, ``min t`` subject to ``B_off^T u = g`` and ``|u_i| <= t`` (Fuchs,
+    IEEE Trans. Inf. Theory 50(6), 2004).  A violation's witness is ``B c`` for
     the maximizing ``c``, the equality marginals; when the equality has no
     solution it is ``B r`` for its least-squares residual ``r``, with
     ``B_off r = 0`` and ``g . r = ||r||^2 > 0``.  Entries of ``x`` at most
-    ``1e-12 max(1, max |x_i|)`` in magnitude count as zero.
+    ``1e-12 max(1, max |x_i|)`` in magnitude count as zero.  ``x`` is the
+    unique minimizer exactly when t* < 1 and ``B_off`` has full column rank
+    (Zhang, Yin & Cheng, J. Optim. Theory Appl. 164, 2015); ``unique`` tests
+    t* < 1 - 1e-9, the certification margin mirrored, then full rank: ``dim``
+    singular values of ``B_off`` above ``RANK_RTOL`` sigma_max(B), so an empty
+    ``B_off`` fails.  The scale is B's: a tie along a kernel vector held on the
+    support leaves only rounding (about 1e-16) in ``B_off``, which has full
+    rank on its own scale.
     """
     basis = _as_float_array(basis, "basis", 2)
     n, dim = basis.shape
@@ -447,6 +445,10 @@ def l1_minimality_check(x: np.ndarray, basis: np.ndarray) -> MinimalityCheck:
     if res is None:
         r = g - off.T @ np.linalg.lstsq(off.T, g, rcond=None)[0]
         return MinimalityCheck("Violated", basis @ r)
-    if res.fun <= 1.0 + 1e-9:
+    if res.fun > 1.0 + 1e-9:
+        return MinimalityCheck("Violated", basis @ res.eqlin.marginals)
+    if res.fun >= 1.0 - 1e-9 or p < dim:
         return MinimalityCheck("Certified")
-    return MinimalityCheck("Violated", basis @ res.eqlin.marginals)
+    # p >= dim, so B_off has dim singular values: full column rank when all exceed RANK_RTOL sigma_max(B)
+    top = np.max(svdvals(basis, check_finite=False), initial=0.0)
+    return MinimalityCheck("Certified", unique=bool(np.all(svdvals(off, check_finite=False) > RANK_RTOL * top)))

@@ -66,6 +66,16 @@ CASES = [
     pytest.param(lambda: theoretical_contraction_factor(0.1, 1.0, 3, 2), "rho", id="contraction-rho"),
     pytest.param(lambda: theoretical_contraction_factor(0.0, 0.5, 3, 2), "gamma", id="contraction-gamma"),
     pytest.param(lambda: theoretical_contraction_factor(0.1, 0.5, 3, 4), "k", id="contraction-k"),
+    pytest.param(lambda: theoretical_contraction_factor(0.1, 0.5, 0, -3), "K", id="contraction-K"),
+    pytest.param(lambda: theoretical_contraction_factor(0.1, 0.5, 3, -1), "k", id="contraction-k-negative"),
+    pytest.param(
+        lambda: theoretical_contraction_factor(0.1, 0.5, 3, 2, tau=0.5, n_cols=-10, r_k=1.0), "n_cols",
+        id="contraction-n_cols",
+    ),
+    pytest.param(
+        lambda: theoretical_contraction_factor(0.1, 0.5, 3, 2, tau=0.5, n_cols=10, r_k=np.inf), "r_k",
+        id="contraction-r_k-inf",
+    ),
     pytest.param(
         lambda: theoretical_contraction_factor(0.1, 0.5, 3, 2, tau=0.5, n_cols=10, r_k=np.nan), "r_k",
         id="contraction-r_k-nan",
@@ -95,6 +105,7 @@ CASES = [
     pytest.param(lambda: gen_gaussian_matrix(5, 5, 0), "m", id="gen_gaussian_matrix-m"),
     pytest.param(lambda: gen_sparse_vector(5, 6, 0), "k", id="gen_sparse_vector-k"),
     pytest.param(lambda: gen_sparse_vector(5, 2, 0, gap_ratio=np.nan), "gap_ratio", id="gen_sparse_vector-gap_ratio-nan"),
+    pytest.param(lambda: gen_sparse_vector(5, 5, 0, gap_ratio=2.0), "gap_ratio", id="gen_sparse_vector-gap_ratio-k=N"),
     pytest.param(lambda: _config(trials=0), "trials", id="ExperimentConfig-trials"),
     pytest.param(lambda: _config(tau_list=[1.0, 1.5]), "tau", id="ExperimentConfig-tau_list"),
     pytest.param(lambda: _config(K_policy=20), "K_policy", id="ExperimentConfig-K_policy"),

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import irlskit
+from irlskit import SensingMatrix, l1_minimality_check, null_space_basis
 from irlskit.cli import build_parser, main
 from irlskit.linalg import write_matrix, write_vector
 from irlskit.plotting import emit_plot
@@ -160,9 +161,10 @@ def test_oracle_l1_reports_tie(tmp_path, capsys):
     write_vector(rhs, [2.0])
     assert main(["oracle", "--matrix", str(matrix), "--rhs", str(rhs), "--l1"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"x", "l1_norm", "maybe_nonunique"}
+    assert set(doc) == {"x", "l1_norm"}
     assert doc["l1_norm"] == 2.0
-    assert doc["maybe_nonunique"] is True
+    phi = SensingMatrix([[1.0, 1.0]])
+    assert l1_minimality_check(np.array(doc["x"]), null_space_basis(phi)).unique is False
 
 
 @pytest.mark.parametrize(

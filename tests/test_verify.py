@@ -596,11 +596,10 @@ def test_l1_oracle_tiny():
 
 def test_l1_oracle_degenerate_tie():
     phi = SensingMatrix([[1.0, 1.0]])
-    x, maybe_nonunique = l1_oracle(phi, np.array([2.0]), full_output=True)
+    x = l1_oracle(phi, np.array([2.0]))
     assert np.sum(np.abs(x)) == pytest.approx(2.0, abs=1e-10)
     # a vertex: one of (2, 0) / (0, 2)
     assert np.min(np.abs(x)) == pytest.approx(0.0, abs=1e-10)
-    assert maybe_nonunique is True
 
 
 @pytest.mark.parametrize(
@@ -814,13 +813,19 @@ def _max_sign_functional(rows, g, lift):
 
 
 @st.composite
-def _minimality_instances(draw):
+def _minimality_instances(draw, tie=False):
     """A Gaussian matrix with kernel dimension 1-4 and an LP-oracle,
-    pseudo-inverse or planted sparse point."""
+    pseudo-inverse or planted sparse point; with ``tie``, one column is a
+    copy or the negation of another, so that minimizers may tie."""
     dim = draw(st.integers(1, 4))
     m = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     phi = _gaussian(rng, m, m + dim)
+    if tie:
+        i, j = rng.choice(m + dim, size=2, replace=False)
+        entries = phi.entries.copy()
+        entries[:, j] = rng.choice([-1.0, 1.0]) * entries[:, i]
+        phi = SensingMatrix(entries)
     y = rng.normal(size=m)
     kind = draw(st.sampled_from(["lp", "pinv", "planted"]))
     if kind == "lp":
@@ -845,6 +850,82 @@ def test_minimality_lp_matches_vertex_reference(instance):
     assert (check.status == "Certified") == (ref <= 1.0 + 1e-9)
     if check.status == "Violated":
         assert _breaks_sign_condition(x, check.witness)
+
+
+def _unique_by_optimal_face(phi, x):
+    """Reference: whether ``x`` is the only l1 minimizer on ``{z : Phi z = Phi x}``.
+    The optimal face of the split LP is one point exactly when the min and the
+    max of every coordinate over it agree.  Both are attained at vertices of the
+    face, and every vertex of the LP is a basic solution ``z_S = Phi_S^{-1} y``
+    of a nonsingular m-column ``Phi_S``; enumerating all of them, with no LP
+    tolerance, gives the face as the vertices of least l1 norm."""
+    m, n = phi.shape
+    subsets = np.array(list(itertools.combinations(range(n), m)))
+    mats = np.moveaxis(phi.entries[:, subsets], 1, 0)  # (b, m, m)
+    sv = np.linalg.svd(mats, compute_uv=False)
+    keep = sv[:, -1] > 1e-10 * sv[:, 0]
+    subsets, mats = subsets[keep], mats[keep]
+    vertices = np.zeros((len(subsets), n))
+    rhs = np.broadcast_to((phi.entries @ x)[:, None], (len(subsets), m, 1))
+    np.put_along_axis(vertices, subsets, np.linalg.solve(mats, rhs)[..., 0], axis=1)
+    norms = np.sum(np.abs(vertices), axis=1)
+    tol = 1e-9 * max(1.0, float(norms.min()))
+    face = vertices[norms <= norms.min() + tol]
+    return bool(np.all(face.min(axis=0) >= x - tol) and np.all(face.max(axis=0) <= x + tol))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda tie: _minimality_instances(tie=tie)))
+def test_minimality_unique_matches_optimal_face(instance):
+    phi, x = instance
+    check = l1_minimality_check(x, null_space_basis(phi))
+    assert check.unique == _unique_by_optimal_face(phi, x)
+    assert not check.unique or check.status == "Certified"
+
+
+def test_minimality_tie_certified_not_unique():
+    # [1 1] x = 2: (2, 0) ties with every (t, 2 - t), t in [0, 2]; t* rounds to 1 - 2.2e-16
+    check = l1_minimality_check(np.array([2.0, 0.0]), null_space_basis(SensingMatrix([[1.0, 1.0]])))
+    assert check.status == "Certified" and check.unique is False
+
+
+def test_minimality_equal_columns_not_unique():
+    # x = (1, 1, 0) has t* = 0, yet (2, 0, 0) has the same l1 norm: B_off is rank-deficient
+    phi = SensingMatrix([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    check = l1_minimality_check(np.array([1.0, 1.0, 0.0]), null_space_basis(phi))
+    assert check.status == "Certified" and check.unique is False
+
+
+def test_minimality_tie_on_support_not_unique():
+    # columns 0 and 1 are negatives of each other and x holds both with opposite
+    # signs, so x + s (1, 1, 0, 0) keeps Phi x and the l1 norm for |s| < 1.  The
+    # computed basis has rounding (about 1e-16) in the off-support rows: full rank
+    # on the scale of B_off alone, rank 0 on the scale of B
+    base = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    phi = SensingMatrix(np.random.default_rng(0).normal(size=(3, 3)) @ base)
+    check = l1_minimality_check(np.array([-1.0, 1.0, 0.0, 0.0]), null_space_basis(phi))
+    assert check.status == "Certified" and check.unique is False
+
+
+def test_minimality_zero_unique():
+    assert l1_minimality_check(np.zeros(3), null_space_basis(TINY)).unique is True
+
+
+def test_minimality_fully_supported_balanced_not_unique():
+    # [1 1] x = 2 at x = (1, 1): g = 0, so Certified, but B_off is empty (rank 0)
+    check = l1_minimality_check(np.array([1.0, 1.0]), null_space_basis(SensingMatrix([[1.0, 1.0]])))
+    assert check.status == "Certified" and check.unique is False
+
+
+def test_minimality_sparse_lp_solution_unique():
+    rng = np.random.default_rng(23)
+    phi = _gaussian(rng, 20, 60)
+    x_star = np.zeros(60)
+    x_star[rng.choice(60, size=3, replace=False)] = rng.normal(size=3)
+    x = l1_oracle(phi, phi.entries @ x_star)
+    assert np.max(np.abs(x - x_star)) < 1e-10
+    check = l1_minimality_check(x, null_space_basis(phi))
+    assert check.status == "Certified" and check.unique is True
 
 
 # --- oracle chain on certified tiny instances -----------------------------------
