@@ -7,8 +7,12 @@ profiles on seeded Gaussian matrices, on both sides of k = N/2; each
 sparse-oracle right-hand side lies in the span of fewer than k columns, so
 many supports tie and the lex-first one must win.  ``montecarlo``: the 17g
 Monte Carlo NSP lower bounds at orders 1-3, tau 1 and 0.6, and sample
-counts that are multiples of no block size.  Exact NSP profiles must also
-give equal bytes at 1 and 2 BLAS threads.  Every digest must equal
+counts that are multiples of no block size.  ``recover``: the result JSON
+of ``irlskit recover`` on the 250x1500 acceptance 6/7 instance, at the
+heuristic K and at K = 45, tau 0.6.  ``phase``: ``irlskit phase`` on a
+small table of more than 8 trials, so that 2 workers take the process
+pool; the serial and the pooled ``phase.csv`` must match one digest.
+Exact NSP profiles must also give equal bytes at 1 and 2 BLAS threads.  Every digest must equal
 the one recorded in ``tests/data/output_digests.json`` for the running
 build.  The build key names the numpy and scipy versions and the BLAS each
 was built against.  On a build with no recorded digests the test fails
@@ -70,6 +74,31 @@ for m, n, seed in ((8, 12, 7), (30, 60, 8), (10, 20, 5)):
                 gamma = nsp_constant(phi, order, tau, "montecarlo", samples, seed=order).constant
                 print(f"mc {m}x{n} order {order} tau {tau:g} samples {samples}: {gamma:.17g}")
 """
+RECOVER_SCRIPT = """
+import sys
+from irlskit.cli import main
+from irlskit.experiments import gen_gaussian_matrix, gen_sparse_vector
+from irlskit.linalg import write_matrix, write_vector
+
+out = sys.argv[1]
+phi = gen_gaussian_matrix(250, 1500, 20250809 + 4)
+write_matrix(f"{out}/phi.txt", phi.entries)
+write_vector(f"{out}/y.txt", phi.entries @ gen_sparse_vector(1500, 45, 20250809 + 5))
+files = ["--matrix", f"{out}/phi.txt", "--rhs", f"{out}/y.txt"]
+main(["recover", *files, "--out", f"{out}/heuristic.json"])
+main(["recover", *files, "--K", "45", "--tau", "0.6", "--warmstart", "10", "--eps-floor", "1e-13",
+      "--out", f"{out}/tau0p6.json"])
+"""
+PHASE_CONFIG = {
+    "m": 20,
+    "N": 50,
+    "k": 3,
+    "k_list": [2, 6, 10],
+    "tau_list": [1.0, 0.6],
+    "trials": 4,
+    "max_iters": 200,
+    "master_seed": 3,
+}
 
 
 def build_key() -> str:
@@ -80,10 +109,11 @@ def build_key() -> str:
     return ", ".join(parts)
 
 
-def run_child(*args: str, threads: str = "1") -> bytes:
-    """stdout of ``python *args`` at ``threads`` BLAS threads, with this irlskit importable."""
+def run_child(*args: str, threads: str = "1", **variables: str) -> bytes:
+    """stdout of ``python *args`` at ``threads`` BLAS threads and the given environment
+    ``variables``, with this irlskit importable."""
     src = str(Path(irlskit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, **variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True).stdout
 
@@ -94,12 +124,16 @@ def check_digests(group: str, got: dict) -> None:
     assert got == recorded
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_trace_csv_digests(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TRACE_CONFIG))
     out = tmp_path / "out"
     run_child("-m", "irlskit.cli", "trace", "--config", str(config), "--out", str(out))
-    check_digests("trace", {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())})
+    check_digests("trace", {p.name: _sha256(p) for p in sorted(out.iterdir())})
 
 
 def test_verify_result_digests():
@@ -108,6 +142,20 @@ def test_verify_result_digests():
 
 def test_montecarlo_nsp_digests():
     check_digests("montecarlo", {"results.txt": hashlib.sha256(run_child("-c", MONTECARLO_SCRIPT)).hexdigest()})
+
+
+def test_recover_result_digests(tmp_path):
+    run_child("-c", RECOVER_SCRIPT, str(tmp_path))
+    check_digests("recover", {name: _sha256(tmp_path / name) for name in ("heuristic.json", "tau0p6.json")})
+
+
+def test_phase_csv_digest_serial_and_pooled(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(PHASE_CONFIG))
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        run_child("-m", "irlskit.cli", "phase", "--config", str(config), "--out", str(out), IRLS_THREADS=workers)
+        check_digests("phase", {"phase.csv": _sha256(out / "phase.csv")})
 
 
 def test_exact_nsp_profiles_independent_of_blas_threads():
