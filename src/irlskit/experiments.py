@@ -31,7 +31,7 @@ from .solver import (
     IrlsConfig,
     IterationRecord,
     RecoveryResult,
-    _check_types,
+    _check_record,
     default_sparsity_order,
     irls_run,
     rate_diagnostics,
@@ -149,7 +149,7 @@ class ExperimentConfig:
     per_trial_matrix: bool = False
 
     def __post_init__(self):
-        _check_types(ExperimentConfig, [vars(self)], "config key")
+        _check_record(vars(self), typing.get_type_hints(ExperimentConfig), "config")
         if not 0 <= self.k <= self.m < self.N:
             raise ValueError(f"need k <= m < N, got k={self.k}, m={self.m}, N={self.N}")
         if self.trials < 1:
@@ -177,13 +177,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """From a JSON object; ``ValueError`` names an unknown or mistyped key."""
-        if not isinstance(doc, dict):
-            raise ValueError("config must be a JSON object")
-        hints = typing.get_type_hints(cls)
-        for key in doc:
-            if key not in hints:
-                raise ValueError(f"unknown config key {key!r}")
-        return cls(**doc)
+        return cls(**_check_record(doc, typing.get_type_hints(cls), "config", partial=True))
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -343,7 +337,7 @@ def _write_csv(path, columns: dict, rows) -> None:
 def _read_csv(path, columns: dict) -> list[dict]:
     """Rows as dicts of the ``columns`` cells, converted to their types.
 
-    Other columns are ignored; a missing one raises ``SchemaMismatchError``.
+    Other columns are ignored; a missing one or a row of another width raises ``SchemaMismatchError``.
     """
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
@@ -353,7 +347,11 @@ def _read_csv(path, columns: dict) -> list[dict]:
         for col in columns:
             if col not in header:
                 raise SchemaMismatchError(f"{path}: missing column '{col}'")
-        rows = [dict(zip(header, row)) for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise SchemaMismatchError(f"{path}: line {reader.line_num} has {len(row)} cells, not {len(header)}")
+            rows.append(dict(zip(header, row)))
     return [{col: _parse_cell(row[col], kind) for col, kind in columns.items()} for row in rows]
 
 

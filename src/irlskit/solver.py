@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -64,6 +64,8 @@ class IrlsConfig:
     ``None`` selects 10 when ``tau < 1`` and 0 otherwise.  ``eps_floor``
     is the floating-point stand-in for "eps = 0"; ``step_tol`` terminates
     on a small relative l1 step even when eps stalls above the floor.
+    Fields meet ``ExperimentConfig``'s type rule: ``K``, ``warmstart_iters`` and
+    ``max_iters`` take Python ints, not bools or numpy integers; the rest a float or an int.
     """
 
     K: int | None = None
@@ -74,6 +76,7 @@ class IrlsConfig:
     step_tol: float = 1e-9
 
     def __post_init__(self):
+        _check_record(vars(self), _CONFIG_FIELDS, "config")
         if self.K is not None and self.K < 1:
             raise ValueError("K must be a positive integer")
         _check_tau(self.tau)
@@ -370,39 +373,45 @@ def _json_fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _check_types(cls, rows, what: str = "key") -> None:
-    """Raise ``ValueError`` naming the first field of ``cls`` whose value in
-    one of the dicts ``rows`` does not fit its type; a missing field raises
-    ``KeyError`` rather than taking its default."""
-    hints = typing.get_type_hints(cls)
-    for row in rows:
-        for f in fields(cls):
-            if not _json_fits(row[f.name], hints[f.name]):
-                raise ValueError(f"{what} {f.name!r}: {row[f.name]!r} is not {f.type}")
+def _check_record(doc, hints: dict, what: str, partial: bool = False) -> dict:
+    """``doc`` if it is a JSON object with only keys of ``hints``, each of its type; else
+    ``ValueError``, or ``KeyError`` for a missing key unless ``partial`` leaves it to its default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in hints:
+            raise ValueError(f"unknown {what} key {key!r}")
+    for key, hint in hints.items():  # doc[key] raises KeyError for a missing key
+        if (key in doc or not partial) and not _json_fits(doc[key], hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ValueError(f"{what} key {key!r}: {doc[key]!r} is not {name}")
+    return doc
+
+
+#: field types of the result document's top level, its config and each trace row
+_RESULT_FIELDS = {"schema_version": int, "config": dict, "termination": str, "a_bound": float | None,
+                  "x_final": list[float], "trace": list}
+_CONFIG_FIELDS = typing.get_type_hints(IrlsConfig)
+_TRACE_FIELDS = typing.get_type_hints(IterationRecord)
 
 
 def load_result(path) -> RecoveryResult:
     """Read a RecoveryResult JSON document back into memory."""
     with open(path, encoding="ascii") as fh:
         doc = json.load(fh)
-    if doc.get("schema_version") != RESULT_SCHEMA_VERSION:
+    # a later schema is named by its version first; the record check rejects a non-object
+    if isinstance(doc, dict) and doc.get("schema_version") != RESULT_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    _check_types(IrlsConfig, [doc["config"]])
-    _check_types(IterationRecord, doc["trace"])
-    cfg = IrlsConfig(**doc["config"])
-    trace = [IterationRecord(**row) for row in doc["trace"]]
-    a_bound = doc["a_bound"]
+    _check_record(doc, _RESULT_FIELDS, "result")
+    cfg = IrlsConfig(**_check_record(doc["config"], _CONFIG_FIELDS, "config"))
+    trace = [IterationRecord(**_check_record(row, _TRACE_FIELDS, "trace row")) for row in doc["trace"]]
     if doc["termination"] not in TERMINATIONS:
         raise ValueError(f"key 'termination': unknown reason {doc['termination']!r}")
-    if not _json_fits(a_bound, float | None):
-        raise ValueError(f"key 'a_bound': {a_bound!r} is not a number or null")
-    if not _json_fits(doc["x_final"], list[float]):
-        raise ValueError(f"key 'x_final': {doc['x_final']!r} is not a list of numbers")
     return RecoveryResult(
         x_final=np.array(doc["x_final"], dtype=float),
         termination=doc["termination"],
         trace=trace,
-        a_bound=math.nan if a_bound is None else a_bound,
+        a_bound=math.nan if doc["a_bound"] is None else doc["a_bound"],
         config=cfg,
     )
 

@@ -423,10 +423,10 @@ def l1_minimality_check(x: np.ndarray, basis: np.ndarray) -> MinimalityCheck:
     unique minimizer exactly when t* < 1 and ``B_off`` has full column rank
     (Zhang, Yin & Cheng, J. Optim. Theory Appl. 164, 2015); ``unique`` tests
     t* < 1 - 1e-9, the certification margin mirrored, then full rank: ``dim``
-    singular values of ``B_off`` above ``RANK_RTOL`` sigma_max(B), so an empty
-    ``B_off`` fails.  The scale is B's: a tie along a kernel vector held on the
-    support leaves only rounding (about 1e-16) in ``B_off``, which has full
-    rank on its own scale.
+    singular values of ``B_off`` above ``RANK_RTOL`` ``||B||_F / sqrt(dim)``, so
+    an empty ``B_off`` fails.  That scale is B's, sigma_max(B) for orthonormal
+    B: a tie along a kernel vector held on the support leaves only rounding
+    (about 1e-16) in ``B_off``, which has full rank on its own scale.
     """
     basis = _as_float_array(basis, "basis", 2)
     n, dim = basis.shape
@@ -449,6 +449,6 @@ def l1_minimality_check(x: np.ndarray, basis: np.ndarray) -> MinimalityCheck:
         return MinimalityCheck("Violated", basis @ res.eqlin.marginals)
     if res.fun >= 1.0 - 1e-9 or p < dim:
         return MinimalityCheck("Certified")
-    # p >= dim, so B_off has dim singular values: full column rank when all exceed RANK_RTOL sigma_max(B)
-    top = np.max(svdvals(basis, check_finite=False), initial=0.0)
+    # p >= dim, so B_off has dim singular values: full column rank when all exceed RANK_RTOL times B's scale
+    top = np.linalg.norm(basis) / math.sqrt(max(dim, 1))
     return MinimalityCheck("Certified", unique=bool(np.all(svdvals(off, check_finite=False) > RANK_RTOL * top)))

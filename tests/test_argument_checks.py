@@ -54,6 +54,10 @@ CASES = [
     pytest.param(lambda: IrlsConfig(step_tol=-1.0), "step_tol", id="IrlsConfig-step_tol"),
     pytest.param(lambda: IrlsConfig(eps_floor=np.nan), "eps_floor", id="IrlsConfig-eps_floor-nan"),
     pytest.param(lambda: IrlsConfig(step_tol=np.nan), "step_tol", id="IrlsConfig-step_tol-nan"),
+    pytest.param(lambda: IrlsConfig(K=2.5), "K", id="IrlsConfig-K-float"),
+    pytest.param(lambda: IrlsConfig(K=True), "K", id="IrlsConfig-K-bool"),
+    pytest.param(lambda: IrlsConfig(K=np.int64(2)), "K", id="IrlsConfig-K-numpy-int"),
+    pytest.param(lambda: IrlsConfig(max_iters=2.5), "max_iters", id="IrlsConfig-max_iters-float"),
     pytest.param(lambda: IrlsConfig(K=3).resolve_K(PHI), "K", id="resolve_K-K"),
     pytest.param(lambda: epsilon_update(1.0, [1.0, 2.0], 2), "K", id="epsilon_update-K"),
     pytest.param(lambda: epsilon_update(-1.0, [1.0, 2.0], 1), "eps_prev", id="epsilon_update-eps_prev"),

@@ -377,6 +377,18 @@ def test_plot_schema_mismatch(tmp_path, capsys):
     assert "missing column 'eps'" in captured.err
 
 
+@pytest.mark.parametrize("cells", ["2,tau1,4,4,1", "2,tau1,4,4,1,12.75,7"], ids=["short", "long"])
+def test_plot_rejects_csv_row_of_wrong_width(tmp_path, capsys, cells):
+    csv = tmp_path / "phase.csv"
+    csv.write_text(f"k,method,trials,successes,success_rate,mean_iters\n2,tau1,4,4,1,12.75\n{cells}\n")
+    svg = tmp_path / "phase.svg"
+    code = main(["plot", "--csv", str(csv), "--kind", "phase", "--out", str(svg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "SchemaMismatch" in captured.err and "line 3" in captured.err
+    assert not svg.exists()
+
+
 def test_unknown_flag_rejected(capsys):
     assert main(["recover", "--bogus"]) == 2
 

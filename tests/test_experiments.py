@@ -21,6 +21,9 @@ from irlskit import (
 )
 from irlskit.errors import SchemaMismatchError
 from irlskit.experiments import (
+    PHASE_CSV_COLUMNS,
+    RATIOS_CSV_COLUMNS,
+    TRACE_CSV_COLUMNS,
     derive_seed,
     method_tag,
     read_phase_csv,
@@ -357,6 +360,25 @@ def test_trace_csv_schema_guard(tmp_path):
     bad2.write_text("")
     with pytest.raises(SchemaMismatchError, match="bad2.csv: empty file"):
         read_phase_csv(bad2)
+
+
+#: one valid cell of each column type
+_CELLS = {int: "2", float: "0.5", str: "tau1", float | None: ""}
+
+
+@pytest.mark.parametrize(
+    "reader, columns",
+    [(read_trace_csv, TRACE_CSV_COLUMNS), (read_ratios_csv, RATIOS_CSV_COLUMNS), (read_phase_csv, PHASE_CSV_COLUMNS)],
+    ids=["trace", "ratios", "phase"],
+)
+@pytest.mark.parametrize("width", [-1, 1], ids=["short", "long"])
+def test_csv_row_of_wrong_width_rejected(tmp_path, reader, columns, width):
+    good = [_CELLS[kind] for kind in columns.values()]
+    bad = good[:width] if width < 0 else good + ["7"]
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(",".join(cells) for cells in (list(columns), good, bad)) + "\n")
+    with pytest.raises(SchemaMismatchError, match=f"rows.csv: line 3 has {len(bad)} cells"):
+        reader(path)
 
 
 def test_ratios_csv_roundtrip(tmp_path):

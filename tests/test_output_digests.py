@@ -12,13 +12,13 @@ of ``irlskit recover`` on the 250x1500 acceptance 6/7 instance, at the
 heuristic K and at K = 45, tau 0.6.  ``phase``: ``irlskit phase`` on a
 small table of more than 8 trials, so that 2 workers take the process
 pool; the serial and the pooled ``phase.csv`` must match one digest.
-Exact NSP profiles must also give equal bytes at 1 and 2 BLAS threads.  Every digest must equal
-the one recorded in ``tests/data/output_digests.json`` for the running
-build.  The build key names the numpy and scipy versions and the BLAS each
-was built against.  On a build with no recorded digests the test fails
-and prints the key and the digests it computed, ready to be recorded once
-checked.  A change that alters output bits on purpose updates the table
-with it.
+Exact NSP profiles must also give equal bytes at 1 and 2 BLAS threads.
+Every digest must equal the one recorded in
+``tests/data/output_digests.json`` for the running build.  The build key
+names the numpy and scipy versions and the BLAS each was built against.
+On a build with no recorded digests the test fails and prints the key and
+the digests it computed, ready to be recorded once checked.  A change that
+alters output bits on purpose updates the table with it.
 """
 
 import hashlib

@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import math
+import re
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irlskit
 from irlskit import (
@@ -406,23 +411,64 @@ def test_result_config_is_resolved_and_round_trips(tmp_path):
     assert load_result(path).config == result.config
 
 
-@pytest.mark.parametrize(
-    "block, key, error",
-    [("config", "K", KeyError), ("trace", "ref_error_l1", KeyError), ("config", "extra", TypeError)],
-)
-def test_load_result_rejects_missing_and_unknown_keys(tmp_path, block, key, error):
+#: the name by which load_result's errors call each record of a result document
+_RECORD_NAMES = {"doc": "result", "config": "config", "trace": "trace row"}
+
+
+def _doc_with(block: str, change):
+    """The result document of a small run with ``block`` (``doc``, ``config`` or
+    the first trace row) replaced by ``change(block)``."""
     rng = np.random.default_rng(14)
     phi, x_star, y = _random_instance(rng, 6, 14, 2)
     doc = result_to_dict(irls_run(phi, y, IrlsConfig(K=2)))
-    target = doc["config"] if block == "config" else doc["trace"][0]
-    if key in target:
-        del target[key]
+    if block == "doc":
+        return change(doc)
+    if block == "config":
+        doc["config"] = change(doc["config"])
     else:
-        target[key] = 1
+        doc["trace"][0] = change(doc["trace"][0])
+    return doc
+
+
+def _load_rejected(tmp_path, doc, error, match):
+    """``load_result`` of ``doc`` raises ``error`` matching ``match``, and the
+    shipped schema rejects the document too."""
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, result_schema())
     path = tmp_path / "result.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(error, match=key):
+    with pytest.raises(error, match=match):
         load_result(path)
+
+
+def _toggle(record: dict, key: str) -> dict:
+    """``record`` without ``key`` if it has one, else with ``key`` set to 1."""
+    if key in record:
+        del record[key]
+    else:
+        record[key] = 1
+    return record
+
+
+@pytest.mark.parametrize(
+    "block, key, error",
+    [
+        ("config", "K", KeyError),
+        ("trace", "ref_error_l1", KeyError),
+        ("config", "extra", ValueError),
+        ("trace", "extra", ValueError),
+        ("doc", "extra", ValueError),
+        # the record is replaced by a JSON value of this type, which is no object
+        ("doc", list, ValueError),
+        ("config", list, ValueError),
+        ("trace", str, ValueError),
+    ],
+)
+def test_load_result_rejects_missing_and_unknown_keys(tmp_path, block, key, error):
+    if isinstance(key, type):
+        _load_rejected(tmp_path, _doc_with(block, key), error, _RECORD_NAMES[block])
+    else:
+        _load_rejected(tmp_path, _doc_with(block, lambda record: _toggle(record, key)), error, key)
 
 
 @pytest.mark.parametrize(
@@ -441,11 +487,39 @@ def test_load_result_rejects_missing_and_unknown_keys(tmp_path, block, key, erro
     ],
 )
 def test_load_result_rejects_mistyped_values(tmp_path, block, key, value):
-    rng = np.random.default_rng(14)
-    phi, x_star, y = _random_instance(rng, 6, 14, 2)
-    doc = result_to_dict(irls_run(phi, y, IrlsConfig(K=2)))
-    {"config": doc["config"], "trace": doc["trace"][0], "doc": doc}[block][key] = value
-    path = tmp_path / "result.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=key):
-        load_result(path)
+    _load_rejected(tmp_path, _doc_with(block, lambda record: {**record, key: value}), ValueError, key)
+
+
+_IRLS_FIELDS = [f.name for f in dataclasses.fields(IrlsConfig)]
+_SETTING_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 11),
+    st.integers(-3, 11).map(np.int64),
+    st.floats(-2.0, 30.0),
+    st.floats(-2.0, 30.0).map(np.float64),
+    st.just(math.nan),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def roundtrip_instance():
+    return _random_instance(np.random.default_rng(16), 6, 12, 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_IRLS_FIELDS), _SETTING_VALUES)
+def test_irls_config_types_checked_or_round_trip(roundtrip_instance, tmp_path_factory, field, value):
+    """A solver setting is rejected when built, naming its field, or runs and reads back equal."""
+    try:
+        cfg = IrlsConfig(**{"max_iters": 5, field: value})
+    except ValueError as exc:
+        assert re.search(rf"\b{field}\b", str(exc)), str(exc)
+        return
+    phi, _, y = roundtrip_instance
+    run = irls_run(phi, y, cfg)
+    path = tmp_path_factory.getbasetemp() / "roundtrip.json"
+    save_result(run, path)
+    assert load_result(path).config == run.config
