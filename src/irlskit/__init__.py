@@ -19,7 +19,6 @@ from .errors import (
 )
 from .experiments import (
     ExperimentConfig,
-    TraceStudy,
     TrialRecord,
     gen_gaussian_matrix,
     gen_sparse_vector,
@@ -74,7 +73,6 @@ __all__ = [
     "RecoveryResult",
     "SchemaMismatchError",
     "SensingMatrix",
-    "TraceStudy",
     "TrialRecord",
     "default_sparsity_order",
     "epsilon_update",

@@ -17,6 +17,7 @@ from dataclasses import asdict
 from .errors import IrlsKitError
 from .experiments import (
     ExperimentConfig,
+    method_tag,
     run_phase_transition,
     run_trace,
     worker_count,
@@ -26,7 +27,7 @@ from .experiments import (
 )
 from .linalg import SensingMatrix, read_matrix, read_vector
 from .plotting import PLOT_KINDS, emit_plot
-from .solver import IrlsConfig, irls_run, save_result
+from .solver import IrlsConfig, irls_run, rate_diagnostics, save_result
 from .verify import l1_oracle, nsp_constant, rip_constant, sparse_oracle
 
 
@@ -161,12 +162,12 @@ def _cmd_trace(args) -> int:
         suffix = f"tau{tau:g}".replace(".", "p")
         trace_csv = os.path.join(args.out, f"trace_{suffix}.csv")
         ratios_csv = os.path.join(args.out, f"ratios_{suffix}.csv")
-        study = run_trace(cfg, tau)
-        write_trace_csv(study.result, trace_csv)
-        write_ratios_csv(study.diagnostics, ratios_csv)
+        run = run_trace(cfg, tau)
+        write_trace_csv(run, trace_csv)
+        write_ratios_csv(rate_diagnostics(run), ratios_csv)
         print(
-            f"{study.tag}: {study.result.iterations} iterations, "
-            f"termination {study.result.termination}"
+            f"{method_tag(tau)}: {run.iterations} iterations, "
+            f"termination {run.termination}"
         )
         print(f"wrote {trace_csv}")
         print(f"wrote {ratios_csv}")
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
     except IrlsKitError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,6 @@ from .solver import (
     _check_record,
     default_sparsity_order,
     irls_run,
-    rate_diagnostics,
 )
 from .sparsity import rearrangement
 
@@ -144,12 +143,12 @@ class ExperimentConfig:
     k_list: list[int] | None = None
     warmstart_iters: int = 10
     max_iters: int = 1000
-    eps_floor: float = 1e-10
-    step_tol: float = 1e-9
+    eps_floor: float = IrlsConfig.eps_floor
+    step_tol: float = IrlsConfig.step_tol
     per_trial_matrix: bool = False
 
     def __post_init__(self):
-        _check_record(vars(self), typing.get_type_hints(ExperimentConfig), "config")
+        _check_record(vars(self), _EXPERIMENT_FIELDS, "config")
         if not 0 <= self.k <= self.m < self.N:
             raise ValueError(f"need k <= m < N, got k={self.k}, m={self.m}, N={self.N}")
         if self.trials < 1:
@@ -177,12 +176,15 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """From a JSON object; ``ValueError`` names an unknown or mistyped key."""
-        return cls(**_check_record(doc, typing.get_type_hints(cls), "config", partial=True))
+        return cls(**_check_record(doc, _EXPERIMENT_FIELDS, "config", partial=True))
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="ascii") as fh:
             return cls.from_dict(json.load(fh))
+
+
+_EXPERIMENT_FIELDS = typing.get_type_hints(ExperimentConfig)
 
 
 def method_tag(tau: float) -> str:
@@ -283,21 +285,11 @@ def run_phase_transition(
     return rows
 
 
-@dataclass
-class TraceStudy:
-    """A single-instance convergence trace with rate diagnostics."""
+def run_trace(cfg: ExperimentConfig, tau: float) -> RecoveryResult:
+    """Run one seeded instance against its planted vector and return the run.
 
-    result: RecoveryResult
-    diagnostics: list
-    planted: np.ndarray
-    tag: str
-
-
-def run_trace(cfg: ExperimentConfig, tau: float) -> TraceStudy:
-    """Run one seeded instance, tracing reference errors and rate ratios.
-
-    The planted vector (``cfg.gap_ratio`` aware) is kept as the reference;
-    :func:`write_trace_csv` and :func:`write_ratios_csv` write the study.
+    The planted vector (``cfg.gap_ratio`` aware) is the run's ``x_ref``, so
+    ``rate_diagnostics(run)`` gives its rate ratios and ``run.trace`` its errors.
     """
     matrix_seed = derive_seed(cfg.master_seed, "matrix")
     vector_seed = derive_seed(cfg.master_seed, "vector")
@@ -305,14 +297,7 @@ def run_trace(cfg: ExperimentConfig, tau: float) -> TraceStudy:
     planted = gen_sparse_vector(cfg.N, cfg.k, vector_seed, cfg.gap_ratio)
     solver_cfg = _solver_config(cfg, tau, cfg.resolve_K(cfg.k))
     y = dgemv(1.0, phi.entries.T, planted, trans=1)
-    result = irls_run(phi, y, solver_cfg, x_ref=planted)
-    diagnostics = rate_diagnostics(result, planted) if result.trace else []
-    return TraceStudy(
-        result=result,
-        diagnostics=diagnostics,
-        planted=planted,
-        tag=method_tag(tau),
-    )
+    return irls_run(phi, y, solver_cfg, x_ref=planted)
 
 
 # --- CSV schemas -------------------------------------------------------------

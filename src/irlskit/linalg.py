@@ -35,11 +35,11 @@ RANK_RTOL = 1e-12
 COND_LIMIT = 1e14
 
 
-def _as_float_array(a, name: str, ndim: int | None = None) -> np.ndarray:
+def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if not np.isfinite(arr).all():  # the method, not np.all: less dispatch on the hot path
         raise ValueError(f"{name} must have finite entries")
-    if ndim is not None and arr.ndim != ndim:
+    if arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-d array, got shape {arr.shape}")
     return arr
 

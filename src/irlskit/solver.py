@@ -117,8 +117,8 @@ class RecoveryResult:
     ``a_bound`` is the surrogate value of the first iterate against the
     initial weights and smoothing parameter; it bounds every later iterate's
     l1 norm (tau-th-power norm for tau < 1).  ``config`` is the config the
-    run used, with ``K`` and ``warmstart_iters`` resolved.  ``iterates`` is
-    the iterate history of a run given ``x_ref``; it is never serialized.
+    run used, with ``K`` and ``warmstart_iters`` resolved.  A run given
+    ``x_ref`` keeps it and its ``iterates`` history; neither is serialized.
     """
 
     x_final: np.ndarray
@@ -127,6 +127,7 @@ class RecoveryResult:
     a_bound: float
     config: IrlsConfig
     iterates: list[np.ndarray] | None = None
+    x_ref: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
@@ -209,7 +210,7 @@ def irls_run(
 
     The result carries ``cfg`` with K and the warm start resolved.  Given
     a finite reference ``x_ref`` of shape (N,), the run records the
-    per-iteration l1 reference errors and retains its iterate history.
+    per-iteration l1 reference errors and keeps it and its iterate history.
     """
     y = _as_float_vector(y, "y", phi.shape[0])
     cfg = replace(cfg, K=cfg.resolve_K(phi), warmstart_iters=cfg.warmstart)
@@ -256,25 +257,23 @@ def irls_run(
         a_bound=a_bound,
         config=cfg,
         iterates=iterates,
+        x_ref=x_ref,
     )
 
 
-def rate_diagnostics(result: RecoveryResult, x_ref: np.ndarray) -> list[tuple[int, float, float]]:
-    """Per-iteration contraction ratios against a reference vector.
+def rate_diagnostics(result: RecoveryResult) -> list[tuple[int, float, float]]:
+    """Per-iteration contraction ratios against the run's own reference.
 
-    Errors are ``E_n = sum_i |x_i^n - ref_i| ** tau`` with the run's tau.  Returns
-    ``(n, E_{n+1}/E_n, E_{n+1}/E_n**(2-tau))`` tuples; entries whose E_n is
-    below ``1e3 * machine_eps * sum |ref_i|**tau`` are omitted.
-
-    The run must have retained its iterates: :func:`irls_run` keeps them
-    when given ``x_ref``.  ``x_ref`` must be finite and of shape (N,).
+    Errors are ``E_n = sum_i |x_i^n - ref_i| ** tau`` with the run's tau and
+    ``ref = result.x_ref``.  Returns ``(n, E_{n+1}/E_n, E_{n+1}/E_n**(2-tau))``
+    tuples; entries whose E_n is below ``1e3 * machine_eps * sum |ref_i|**tau``
+    are omitted.  The run must have been given ``x_ref`` by :func:`irls_run`.
     """
-    if result.iterates is None:
-        raise MissingReferenceError("need a run that retained its iterates")
+    if result.x_ref is None:
+        raise MissingReferenceError("need a run given a reference x_ref")
     tau = result.config.tau
-    x_ref = _as_float_vector(x_ref, "x_ref", result.x_final.size)
-    errors = [float(np.sum(np.abs(x - x_ref) ** tau)) for x in result.iterates]
-    floor = 1e3 * np.finfo(float).eps * float(np.sum(np.abs(x_ref) ** tau))
+    errors = [float(np.sum(np.abs(x - result.x_ref) ** tau)) for x in result.iterates]
+    floor = 1e3 * np.finfo(float).eps * float(np.sum(np.abs(result.x_ref) ** tau))
     out = []
     for i in range(len(errors) - 1):
         if errors[i] <= floor:
@@ -392,7 +391,9 @@ def _check_record(doc, hints: dict, what: str, partial: bool = False) -> dict:
 _RESULT_FIELDS = {"schema_version": int, "config": dict, "termination": str, "a_bound": float | None,
                   "x_final": list[float], "trace": list}
 _CONFIG_FIELDS = typing.get_type_hints(IrlsConfig)
+_SAVED_CONFIG_FIELDS = {**_CONFIG_FIELDS, "K": int, "warmstart_iters": int}  # a saved config is resolved
 _TRACE_FIELDS = typing.get_type_hints(IterationRecord)
+_TRACE_MINIMUMS = {"n": 1, "eps": 0, "step_l1": 0, "ref_error_l1": 0}  # the schema's; None has none
 
 
 def load_result(path) -> RecoveryResult:
@@ -403,8 +404,12 @@ def load_result(path) -> RecoveryResult:
     if isinstance(doc, dict) and doc.get("schema_version") != RESULT_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     _check_record(doc, _RESULT_FIELDS, "result")
-    cfg = IrlsConfig(**_check_record(doc["config"], _CONFIG_FIELDS, "config"))
+    cfg = IrlsConfig(**_check_record(doc["config"], _SAVED_CONFIG_FIELDS, "config"))
     trace = [IterationRecord(**_check_record(row, _TRACE_FIELDS, "trace row")) for row in doc["trace"]]
+    for row in doc["trace"]:
+        for key, low in _TRACE_MINIMUMS.items():
+            if row[key] is not None and not row[key] >= low:
+                raise ValueError(f"trace row key {key!r}: {row[key]!r} is below {low}")
     if doc["termination"] not in TERMINATIONS:
         raise ValueError(f"key 'termination': unknown reason {doc['termination']!r}")
     return RecoveryResult(

@@ -292,7 +292,7 @@ def _first_below(result, tol):
 def test_acceptance_6_linear_rate(large_instance_runs):
     _, x_star, run_l1, _ = large_instance_runs
     hit = _first_below(run_l1, 1e-6)
-    diags = rate_diagnostics(run_l1, x_star)
+    diags = rate_diagnostics(run_l1)
     last20 = [lin for _, lin, _ in diags[-20:]]
     cv = float(np.std(last20) / np.mean(last20)) if len(last20) == 20 else np.inf
     ok = hit is not None and cv <= 0.5
@@ -310,7 +310,7 @@ def test_acceptance_7_superlinear_rate(large_instance_runs):
     hit_l1 = _first_below(run_l1, 1e-6)
     hit_h = _first_below(run_hybrid, 1e-6)
     post_warm = None if hit_h is None else hit_h - 10
-    diags = rate_diagnostics(run_hybrid, x_star)
+    diags = rate_diagnostics(run_hybrid)
     last5 = [lin for _, lin, _ in diags[-5:]]
     decreasing = len(last5) == 5 and all(b < a for a, b in zip(last5, last5[1:]))
     ok = (
@@ -378,10 +378,10 @@ def test_acceptance_9_noisy_sparse_plateau():
         K_policy="EqualsPlantedK",
         max_iters=600,
     )
-    study = run_trace(cfg, tau=1.0)
-    z = study.planted
+    result = run_trace(cfg, tau=1.0)
+    z = result.x_ref
     tail = sigma_k(z, 5)
-    errors = [rec.ref_error_l1 for rec in study.result.trace]
+    errors = [rec.ref_error_l1 for rec in result.trace]
     plateau = errors[-1]
     plateau_ok = plateau <= 30.0 * tail
     ratios = [

@@ -15,6 +15,7 @@ from irlskit import (
     ExperimentConfig,
     gen_gaussian_matrix,
     gen_sparse_vector,
+    rate_diagnostics,
     run_phase_transition,
     run_trace,
     sigma_k,
@@ -272,21 +273,22 @@ def test_trace_study_and_csv(tmp_path):
     cfg = ExperimentConfig(m=10, N=25, k=2, master_seed=5, max_iters=200)
     trace_path = tmp_path / "trace.csv"
     ratios_path = tmp_path / "ratios.csv"
-    study = run_trace(cfg, tau=1.0)
-    write_trace_csv(study.result, trace_path)
-    write_ratios_csv(study.diagnostics, ratios_path)
-    assert study.result.trace[-1].ref_error_l1 is not None
+    run = run_trace(cfg, tau=1.0)
+    diagnostics = rate_diagnostics(run)
+    write_trace_csv(run, trace_path)
+    write_ratios_csv(diagnostics, ratios_path)
+    assert run.trace[-1].ref_error_l1 is not None
     rows = read_trace_csv(trace_path)
-    assert len(rows) == study.result.iterations
-    for rec, row in zip(study.result.trace, rows):
+    assert len(rows) == run.iterations
+    for rec, row in zip(run.trace, rows):
         assert row["n"] == rec.n
         assert row["surrogate"] == rec.surrogate  # 17 significant digits round-trip
         assert row["eps"] == rec.eps
         assert row["ref_error_l1"] == rec.ref_error_l1
     ratio_rows = read_ratios_csv(ratios_path)
-    assert len(ratio_rows) == len(study.diagnostics)
+    assert len(ratio_rows) == len(diagnostics)
     if ratio_rows:
-        assert ratio_rows[0]["linear_ratio"] == study.diagnostics[0][1]
+        assert ratio_rows[0]["linear_ratio"] == diagnostics[0][1]
 
 
 _TRACE_CHILD = """
@@ -294,7 +296,7 @@ import sys
 from irlskit.experiments import ExperimentConfig, run_trace, write_trace_csv
 cfg = ExperimentConfig(m=50, N=250, k=8, master_seed=1)
 for tau in (1.0, 0.6):
-    write_trace_csv(run_trace(cfg, tau).result, f"{sys.argv[1]}/trace-{tau}.csv")
+    write_trace_csv(run_trace(cfg, tau), f"{sys.argv[1]}/trace-{tau}.csv")
 """
 
 
@@ -338,11 +340,11 @@ def test_phase_csv_independent_of_blas_threads_and_workers(tmp_path):
 
 def test_trace_zero_sparsity_stops_immediately(tmp_path):
     cfg = ExperimentConfig(m=10, N=25, k=0, master_seed=6)
-    study = run_trace(cfg, tau=1.0)
-    assert study.result.termination == "ExactSparseStop"
-    assert study.result.iterations == 1
-    assert np.allclose(study.result.x_final, 0.0)
-    assert study.diagnostics == []
+    run = run_trace(cfg, tau=1.0)
+    assert run.termination == "ExactSparseStop"
+    assert run.iterations == 1
+    assert np.allclose(run.x_final, 0.0)
+    assert rate_diagnostics(run) == []
 
 
 def test_trace_csv_schema_guard(tmp_path):
