@@ -1,7 +1,9 @@
 """Numeric identity of written outputs, pinned by SHA-256 per numpy/scipy build.
 
 Each group runs in a child interpreter at one BLAS thread.  ``trace``:
-``irlskit trace`` on a fixed 50x250 config, one digest per CSV it writes.
+``irlskit trace`` on a fixed 50x250 config, one digest per CSV it writes,
+and on the same config with an approximately sparse planted vector
+(``gap_ratio``), its files under ``gap_ratio/``.
 ``verify``: the 17g text of RIP constants, sparse-oracle fits and exact NSP
 profiles on seeded Gaussian matrices, on both sides of k = N/2; each
 sparse-oracle right-hand side lies in the span of fewer than k columns, so
@@ -11,7 +13,9 @@ counts that are multiples of no block size.  ``recover``: the result JSON
 of ``irlskit recover`` on the 250x1500 acceptance 6/7 instance, at the
 heuristic K and at K = 45, tau 0.6.  ``phase``: ``irlskit phase`` on a
 small table of more than 8 trials, so that 2 workers take the process
-pool; the serial and the pooled ``phase.csv`` must match one digest.
+pool, once on one shared matrix (``phase.csv``) and once with a matrix per
+trial (``phase_per_trial_matrix.csv``); the serial and the pooled table
+must match one digest.
 Exact NSP profiles must also give equal bytes at 1 and 2 BLAS threads.
 Every digest must equal the one recorded in
 ``tests/data/output_digests.json`` for the running build.  The build key
@@ -35,6 +39,7 @@ import irlskit
 
 DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
 TRACE_CONFIG = {"m": 50, "N": 250, "k": 8, "tau_list": [1.0, 0.6], "master_seed": 7}
+GAP_TRACE_CONFIG = {**TRACE_CONFIG, "gap_ratio": 100.0, "max_iters": 600}
 VERIFY_SCRIPT = """
 from irlskit.experiments import gen_gaussian_matrix, gen_sparse_vector
 from irlskit.verify import exact_nsp_profile, rip_constant, sparse_oracle
@@ -99,6 +104,7 @@ PHASE_CONFIG = {
     "max_iters": 200,
     "master_seed": 3,
 }
+PHASE_TABLES = {"phase.csv": PHASE_CONFIG, "phase_per_trial_matrix.csv": {**PHASE_CONFIG, "per_trial_matrix": True}}
 
 
 def build_key() -> str:
@@ -129,11 +135,14 @@ def _sha256(path: Path) -> str:
 
 
 def test_trace_csv_digests(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TRACE_CONFIG))
-    out = tmp_path / "out"
-    run_child("-m", "irlskit.cli", "trace", "--config", str(config), "--out", str(out))
-    check_digests("trace", {p.name: _sha256(p) for p in sorted(out.iterdir())})
+    got = {}
+    for prefix, cfg in (("", TRACE_CONFIG), ("gap_ratio/", GAP_TRACE_CONFIG)):
+        config = tmp_path / f"config{len(got)}.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / f"out{len(got)}"
+        run_child("-m", "irlskit.cli", "trace", "--config", str(config), "--out", str(out))
+        got.update({prefix + p.name: _sha256(p) for p in sorted(out.iterdir())})
+    check_digests("trace", got)
 
 
 def test_verify_result_digests():
@@ -150,12 +159,15 @@ def test_recover_result_digests(tmp_path):
 
 
 def test_phase_csv_digest_serial_and_pooled(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(PHASE_CONFIG))
     for workers in ("1", "2"):
-        out = tmp_path / f"workers{workers}"
-        run_child("-m", "irlskit.cli", "phase", "--config", str(config), "--out", str(out), IRLS_THREADS=workers)
-        check_digests("phase", {"phase.csv": _sha256(out / "phase.csv")})
+        got = {}
+        for name, cfg in PHASE_TABLES.items():
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(cfg))
+            out = tmp_path / f"workers{workers}-{name}"
+            run_child("-m", "irlskit.cli", "phase", "--config", str(config), "--out", str(out), IRLS_THREADS=workers)
+            got[name] = _sha256(out / "phase.csv")
+        check_digests("phase", got)
 
 
 def test_exact_nsp_profiles_independent_of_blas_threads():
