@@ -126,9 +126,10 @@ class ExperimentConfig:
     applies to the hybrid (tau < 1) methods in ``tau_list``.  ``gap_ratio``
     shapes only the planted vector of ``trace``; phase trials
     (:func:`rerun_trial`) draw exactly k-sparse vectors and ignore it.
-    A field that does not fit its type (see ``solver._json_fits``), a
-    solver setting ``IrlsConfig`` rejects, an empty list or a ``k_list``
-    entry outside [0, m] raises ``ValueError`` before any trial runs.
+    Before any trial runs, ``ValueError`` rejects a field that does not fit
+    its type (see ``solver._json_fits``), a solver setting ``IrlsConfig``
+    rejects, an empty list, a repeated cell (``tau_list`` entries compare as
+    printed with ``:g``), a ``k_list`` entry outside [0, m] and an infinite ``success_tol``.
     """
 
     m: int
@@ -153,16 +154,16 @@ class ExperimentConfig:
             raise ValueError(f"need k <= m < N, got k={self.k}, m={self.m}, N={self.N}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.success_tol >= 0:
-            raise ValueError(f"success_tol must be non-negative, got {self.success_tol}")
+        if not 0 <= self.success_tol < np.inf:
+            raise ValueError(f"success_tol must be finite and non-negative, got {self.success_tol}")
         _check_gap_ratio(self.gap_ratio, self.k, self.N)
-        if self.k_list is not None and not (self.k_list and all(0 <= k <= self.m for k in self.k_list)):
-            raise ValueError(f"k_list must be a non-empty list of entries in [0, m], got {self.k_list}")
-        if not self.tau_list:
-            raise ValueError("tau_list must not be empty")
-        K = self.resolve_K(self.k)  # checks K_policy
-        for tau in self.tau_list:  # the solver's rules, met before any trial runs
-            _solver_config(self, tau, K)
+        ks = self.k_list if self.k_list is not None else [self.k]
+        if not 0 < len(set(ks)) == len(ks) or not all(0 <= k <= self.m for k in ks):
+            raise ValueError(f"k_list must be a non-empty list of distinct entries in [0, m], got {self.k_list}")
+        if not self.tau_list or len({f"{tau:g}" for tau in self.tau_list}) < len(self.tau_list):
+            raise ValueError(f"tau_list must be a non-empty list of entries distinct as printed with :g, got {self.tau_list}")
+        for tau in self.tau_list:  # the solver's rules and K_policy, met before any trial runs
+            _solver_config(self, tau, self.k)
 
     def resolve_K(self, planted_k: int) -> int:
         if self.K_policy == "EqualsPlantedK":
@@ -207,9 +208,9 @@ class PhaseCell:
     mean_iters: float
 
 
-def _solver_config(cfg: ExperimentConfig, tau: float, K: int) -> IrlsConfig:
+def _solver_config(cfg: ExperimentConfig, tau: float, k: int) -> IrlsConfig:
     return IrlsConfig(
-        K=K,
+        K=cfg.resolve_K(k),
         tau=tau,
         warmstart_iters=0 if tau == 1.0 else cfg.warmstart_iters,
         max_iters=cfg.max_iters,
@@ -223,28 +224,28 @@ def _cached_matrix(m: int, n: int, seed: int) -> SensingMatrix:
     return gen_gaussian_matrix(m, n, seed)
 
 
+def _instance(cfg: ExperimentConfig, matrix_key: tuple, k: int, vector_key: tuple, gap_ratio: float | None = None):
+    """The seeded ``(phi, planted, y)`` of one run, its seeds derived from the master seed and the two keys."""
+    phi = _cached_matrix(cfg.m, cfg.N, derive_seed(cfg.master_seed, *matrix_key))
+    planted = gen_sparse_vector(cfg.N, k, derive_seed(cfg.master_seed, *vector_key), gap_ratio)
+    return phi, planted, dgemv(1.0, phi.entries.T, planted, trans=1)
+
+
 def rerun_trial(cfg: ExperimentConfig, k: int, tau: float, trial_index: int) -> TrialRecord:
     """Run one (k, method, trial) entry of a phase table.
 
     The only place trial seeds are derived: ``run_phase_transition`` maps
     this function over every key, so a rerun is the table's trial itself.
+    It succeeds when its l1 error is at most ``success_tol * ||planted||_1``.
     """
     tag = method_tag(tau)
     matrix_key = ("matrix", k, tag, trial_index) if cfg.per_trial_matrix else ("matrix",)
-    phi = _cached_matrix(cfg.m, cfg.N, derive_seed(cfg.master_seed, *matrix_key))
-    vector_seed = derive_seed(cfg.master_seed, "trial", k, tag, trial_index)
-    planted = gen_sparse_vector(cfg.N, k, vector_seed)
-    y = dgemv(1.0, phi.entries.T, planted, trans=1)
-    result = irls_run(phi, y, _solver_config(cfg, tau, cfg.resolve_K(k)))
+    phi, planted, y = _instance(cfg, matrix_key, k, ("trial", k, tag, trial_index))
+    result = irls_run(phi, y, _solver_config(cfg, tau, k))
     err = float(np.sum(np.abs(result.x_final - planted)))
-    norm = float(np.sum(np.abs(planted)))
-    if norm > 0:
-        rel = err / norm
-    else:
-        rel = 0.0 if err == 0.0 else np.inf
     return TrialRecord(
         trial_index,
-        bool(rel <= cfg.success_tol),
+        bool(err <= cfg.success_tol * np.sum(np.abs(planted))),
         result.iterations,
         result.termination,
     )
@@ -253,15 +254,17 @@ def rerun_trial(cfg: ExperimentConfig, k: int, tau: float, trial_index: int) -> 
 def run_phase_transition(
     cfg: ExperimentConfig, n_workers: int | None = None
 ) -> dict[tuple[int, str], PhaseCell]:
-    """Success-rate cells over sparsity levels and solver methods, keyed ``(k, method_tag(tau))``.
+    """Success-rate cells of the ``(k, tau)`` grid, keyed ``(k, method_tag(tau))`` in grid order.
 
+    Cell i is trials ``i * trials`` to ``(i + 1) * trials`` of the grid-ordered
+    list, each a :func:`rerun_trial` call, so cells are reproducible in isolation.
     One measurement matrix per table by default (seeded from the master
-    seed); ``per_trial_matrix=True`` regenerates the matrix for every
-    trial.  Every trial is a :func:`rerun_trial` call, so individual
-    cells are reproducible in isolation.
+    seed); ``per_trial_matrix=True`` regenerates it for every trial.
     """
     ks = cfg.k_list if cfg.k_list is not None else [cfg.k]
-    keys = [(k, tau, t) for k in ks for tau in cfg.tau_list for t in range(cfg.trials)]
+    grid = [(k, tau) for k in ks for tau in cfg.tau_list]
+    trials = cfg.trials
+    keys = [(k, tau, t) for k, tau in grid for t in range(trials)]
     trial = partial(rerun_trial, cfg)
     workers = n_workers if n_workers is not None else worker_count()
     if workers > 1 and len(keys) > 8:
@@ -270,34 +273,27 @@ def run_phase_transition(
             records = list(pool.map(trial, *zip(*keys), chunksize=16))
     else:
         records = [trial(*key) for key in keys]
-    cells: dict = {}
-    for (k, tau, _), record in zip(keys, records):
-        cells.setdefault((k, method_tag(tau)), []).append(record)
     rows = {}
-    for key, recs in cells.items():
+    for i, (k, tau) in enumerate(grid):
+        recs = records[i * trials:(i + 1) * trials]
         succ = sum(r.success for r in recs)
-        rows[key] = PhaseCell(
-            trials=len(recs),
+        rows[(k, method_tag(tau))] = PhaseCell(
+            trials=trials,
             successes=succ,
-            success_rate=succ / len(recs),
+            success_rate=succ / trials,
             mean_iters=float(np.mean([r.iterations for r in recs])),
         )
     return rows
 
 
 def run_trace(cfg: ExperimentConfig, tau: float) -> RecoveryResult:
-    """Run one seeded instance against its planted vector and return the run.
+    """Run one seeded instance, on the phase table's shared matrix, and return the run.
 
     The planted vector (``cfg.gap_ratio`` aware) is the run's ``x_ref``, so
     ``rate_diagnostics(run)`` gives its rate ratios and ``run.trace`` its errors.
     """
-    matrix_seed = derive_seed(cfg.master_seed, "matrix")
-    vector_seed = derive_seed(cfg.master_seed, "vector")
-    phi = gen_gaussian_matrix(cfg.m, cfg.N, matrix_seed)
-    planted = gen_sparse_vector(cfg.N, cfg.k, vector_seed, cfg.gap_ratio)
-    solver_cfg = _solver_config(cfg, tau, cfg.resolve_K(cfg.k))
-    y = dgemv(1.0, phi.entries.T, planted, trans=1)
-    return irls_run(phi, y, solver_cfg, x_ref=planted)
+    phi, planted, y = _instance(cfg, ("matrix",), cfg.k, ("vector",), cfg.gap_ratio)
+    return irls_run(phi, y, _solver_config(cfg, tau, cfg.k), x_ref=planted)
 
 
 # --- CSV schemas -------------------------------------------------------------

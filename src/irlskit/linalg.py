@@ -72,7 +72,7 @@ class SensingMatrix:
     (singular values below ``RANK_RTOL * sigma_max`` count as zero).  Gram
     eigenvalues certify rank m when ``sigma_min >= 1e-3 sigma_max``; any
     other matrix gets the SVD rule.  Both run on scipy's LAPACK, so numpy's
-    BLAS pool stays idle.  The entry array is frozen after construction.
+    BLAS pool stays idle.  The entries are a frozen copy of the input.
     """
 
     entries: np.ndarray
@@ -82,7 +82,7 @@ class SensingMatrix:
         m, n = arr.shape
         if not 0 < m < n:
             raise ValueError(f"need 0 < m < N, got shape {arr.shape}")
-        arr = np.ascontiguousarray(arr)
+        arr = np.array(arr, order="C")  # a copy: freezing it leaves the caller's array alone
         try:  # a Gram that overflowed raises ValueError
             lam = eigvalsh(dsyrk(1.0, arr.T, trans=1), lower=False)
         except ValueError:

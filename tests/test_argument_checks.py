@@ -126,6 +126,11 @@ CASES = [
     pytest.param(lambda: _config(k_list=[]), "k_list", id="ExperimentConfig-k_list-empty"),
     pytest.param(lambda: ExperimentConfig.from_dict([1]), "config", id="from_dict-not-object"),
     pytest.param(lambda: _config(k_list=[11]), "k_list", id="phase-k_list"),
+    pytest.param(lambda: _config(k_list=[2, 2]), "k_list", id="ExperimentConfig-k_list-repeated"),
+    pytest.param(lambda: _config(tau_list=[1.0, 1.0]), "tau_list", id="ExperimentConfig-tau_list-repeated"),
+    pytest.param(lambda: _config(tau_list=[0.6, 0.6000001]), "tau_list", id="ExperimentConfig-tau_list-same-tag"),
+    pytest.param(lambda: _config(tau_list=[1.0, 0.9999995]), "tau_list", id="ExperimentConfig-tau_list-same-file"),
+    pytest.param(lambda: _config(success_tol=np.inf), "success_tol", id="ExperimentConfig-success_tol-inf"),
     pytest.param(lambda: emit_plot("unused.csv", "bogus", "unused.svg"), "kind", id="emit_plot-kind"),
 ]
 

@@ -286,11 +286,14 @@ def test_mistyped_config_exit_2(tmp_path, capsys, command, key, value):
         ("trace", {"tau_list": []}, "tau_list"),
         ("phase", {"k_list": [15]}, "k_list"),
         ("trace", {"k": 0, "gap_ratio": 10.0}, "gap_ratio"),
+        ("phase", {"tau_list": [1.0, 1.0]}, "tau_list"),
+        ("trace", {"tau_list": [1.0, 1.0]}, "tau_list"),
+        ("trace", {"tau_list": [1.0, 0.9999995]}, "tau_list"),
     ],
     ids=[
         "trace-warmstart_iters", "phase-max_iters", "phase-K_policy",
         "phase-tau_list-empty", "phase-k_list-empty", "trace-tau_list-empty", "phase-k_list-range",
-        "trace-gap_ratio-k0",
+        "trace-gap_ratio-k0", "phase-tau_list-repeated", "trace-tau_list-repeated", "trace-tau_list-same-file",
     ],
 )
 def test_config_meets_solver_rules_before_any_trial(tmp_path, capsys, command, fields, key):

@@ -103,6 +103,16 @@ def test_entries_frozen():
         phi.entries[0, 0] = 5.0
 
 
+def test_entries_are_a_copy_the_caller_cannot_change():
+    # a C-contiguous float64 input used to become the entries and be frozen in place
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    phi = SensingMatrix(a)
+    assert a.flags.writeable and not phi.entries.flags.writeable
+    a[:] = 0.0
+    assert np.array_equal(phi.entries, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    assert weighted_ls_solve(phi, [1.0, 2.0], np.ones(3)).shape == (3,)
+
+
 def test_null_space_basis_tiny():
     phi = SensingMatrix([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     basis = null_space_basis(phi)
