@@ -17,6 +17,7 @@ from dataclasses import asdict
 from .errors import IrlsKitError
 from .experiments import (
     ExperimentConfig,
+    file_suffix,
     method_tag,
     run_phase_transition,
     run_trace,
@@ -159,7 +160,7 @@ def _cmd_trace(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     os.makedirs(args.out, exist_ok=True)
     for tau in cfg.tau_list:
-        suffix = f"tau{tau:g}".replace(".", "p")
+        suffix = file_suffix(tau)
         trace_csv = os.path.join(args.out, f"trace_{suffix}.csv")
         ratios_csv = os.path.join(args.out, f"ratios_{suffix}.csv")
         run = run_trace(cfg, tau)

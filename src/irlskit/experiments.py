@@ -31,6 +31,7 @@ from .solver import (
     IrlsConfig,
     IterationRecord,
     RecoveryResult,
+    _JSON_TYPE_NAMES,
     _check_record,
     default_sparsity_order,
     irls_run,
@@ -126,10 +127,9 @@ class ExperimentConfig:
     applies to the hybrid (tau < 1) methods in ``tau_list``.  ``gap_ratio``
     shapes only the planted vector of ``trace``; phase trials
     (:func:`rerun_trial`) draw exactly k-sparse vectors and ignore it.
-    Before any trial runs, ``ValueError`` rejects a field that does not fit
-    its type (see ``solver._json_fits``), a solver setting ``IrlsConfig``
-    rejects, an empty list, a repeated cell (``tau_list`` entries compare as
-    printed with ``:g``), a ``k_list`` entry outside [0, m] and an infinite ``success_tol``.
+    Before any trial runs, ``ValueError`` rejects a field that does not fit its type (see ``_hint_schema``),
+    a solver setting ``IrlsConfig`` rejects, an empty list, a repeated cell (``tau_list`` entries compare by
+    :func:`file_suffix`), a ``k_list`` entry outside [0, m] and an infinite ``success_tol``.
     """
 
     m: int
@@ -149,7 +149,7 @@ class ExperimentConfig:
     per_trial_matrix: bool = False
 
     def __post_init__(self):
-        _check_record(vars(self), _EXPERIMENT_FIELDS, "config")
+        _check_record(vars(self), _EXPERIMENT_SCHEMA, "config")
         if not 0 <= self.k <= self.m < self.N:
             raise ValueError(f"need k <= m < N, got k={self.k}, m={self.m}, N={self.N}")
         if self.trials < 1:
@@ -160,8 +160,8 @@ class ExperimentConfig:
         ks = self.k_list if self.k_list is not None else [self.k]
         if not 0 < len(set(ks)) == len(ks) or not all(0 <= k <= self.m for k in ks):
             raise ValueError(f"k_list must be a non-empty list of distinct entries in [0, m], got {self.k_list}")
-        if not self.tau_list or len({f"{tau:g}" for tau in self.tau_list}) < len(self.tau_list):
-            raise ValueError(f"tau_list must be a non-empty list of entries distinct as printed with :g, got {self.tau_list}")
+        if not self.tau_list or len({file_suffix(tau) for tau in self.tau_list}) < len(self.tau_list):
+            raise ValueError(f"tau_list must be a non-empty list of entries with distinct file suffixes, got {self.tau_list}")
         for tau in self.tau_list:  # the solver's rules and K_policy, met before any trial runs
             _solver_config(self, tau, self.k)
 
@@ -177,7 +177,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """From a JSON object; ``ValueError`` names an unknown or mistyped key."""
-        return cls(**_check_record(doc, _EXPERIMENT_FIELDS, "config", partial=True))
+        return cls(**_check_record(doc, _EXPERIMENT_SCHEMA, "config"))
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -185,11 +185,26 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-_EXPERIMENT_FIELDS = typing.get_type_hints(ExperimentConfig)
+def _hint_schema(hint) -> dict:
+    """The JSON-schema ``type`` list and ``items`` of a field type hint; a union joins its members'."""
+    if typing.get_origin(hint) is list:
+        return {"type": ["array"], "items": _hint_schema(*typing.get_args(hint))}
+    parts = [_hint_schema(h) for h in typing.get_args(hint)] or [{"type": [_JSON_TYPE_NAMES[hint]]}]
+    return {k: v for part in parts for k, v in part.items()} | {"type": [t for part in parts for t in part["type"]]}
+
+
+#: ``ExperimentConfig`` as a JSON record; no key is required, as a missing one takes its default
+_EXPERIMENT_SCHEMA = {"additionalProperties": False, "properties": {
+    key: _hint_schema(hint) for key, hint in typing.get_type_hints(ExperimentConfig).items()}}
 
 
 def method_tag(tau: float) -> str:
     return "tau1" if tau == 1.0 else f"hybrid-tau{tau:g}"
+
+
+def file_suffix(tau: float) -> str:
+    """The trace and ratio file-name suffix of a method, from its tag: ``hybrid-tau0.6`` gives ``tau0p6``."""
+    return method_tag(tau).removeprefix("hybrid-").replace(".", "p")
 
 
 @dataclass(frozen=True)

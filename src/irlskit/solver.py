@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-import typing
+import operator
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
@@ -30,16 +30,21 @@ import numpy as np
 from .errors import IllConditionedError, MissingReferenceError
 from .linalg import SensingMatrix, _as_float_vector, _check_tau, weighted_ls_solve
 
-RESULT_SCHEMA_VERSION = 1
 
-#: termination reasons recorded on RecoveryResult
-TERMINATIONS = (
-    "EpsHitFloor",
-    "StepBelowTol",
-    "MaxIters",
-    "ExactSparseStop",
-    "IllConditioned",
-)
+def result_schema() -> dict:
+    """The JSON schema shipped with the package, read afresh on each call."""
+    text = resources.files("irlskit").joinpath("schemas/recovery_result.schema.json").read_text()
+    return json.loads(text)
+
+
+#: the one statement of the result record, read once; ``result_schema()`` hands out copies
+_SCHEMA = result_schema()
+RESULT_SCHEMA_VERSION = _SCHEMA["properties"]["schema_version"]["const"]
+TERMINATIONS = tuple(_SCHEMA["properties"]["termination"]["enum"])  #: reasons recorded on RecoveryResult
+#: a config as built, whose ``K`` and ``warmstart_iters`` may be None until a run resolves them
+_CONFIG = {**_SCHEMA["properties"]["config"], "properties": {
+    key: {**spec, "type": [spec["type"], "null"]} if key in ("K", "warmstart_iters") else spec
+    for key, spec in _SCHEMA["properties"]["config"]["properties"].items()}}
 
 
 def default_sparsity_order(m: int, n: int) -> int:
@@ -64,8 +69,7 @@ class IrlsConfig:
     ``None`` selects 10 when ``tau < 1`` and 0 otherwise.  ``eps_floor``
     is the floating-point stand-in for "eps = 0"; ``step_tol`` terminates
     on a small relative l1 step even when eps stalls above the floor.
-    Fields meet ``ExperimentConfig``'s type rule: ``K``, ``warmstart_iters`` and
-    ``max_iters`` take Python ints, not bools or numpy integers; the rest a float or an int.
+    Fields meet the shipped schema's ``config`` block, but for the None values above.
     """
 
     K: int | None = None
@@ -76,16 +80,7 @@ class IrlsConfig:
     step_tol: float = 1e-9
 
     def __post_init__(self):
-        _check_record(vars(self), _CONFIG_FIELDS, "config")
-        if self.K is not None and self.K < 1:
-            raise ValueError("K must be a positive integer")
-        _check_tau(self.tau)
-        if self.warmstart_iters is not None and self.warmstart_iters < 0:
-            raise ValueError("warmstart_iters must be non-negative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not (self.eps_floor > 0 and self.step_tol > 0):
-            raise ValueError("eps_floor and step_tol must be positive")
+        _check_record(vars(self), _CONFIG, "config")
 
     @property
     def warmstart(self) -> int:
@@ -360,40 +355,43 @@ def save_result(result: RecoveryResult, path) -> None:
         fh.write("\n")
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether a JSON value fits a field type; a bool is no number, an int is a float."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
-    if args:  # a union
-        return any(_json_fits(value, h) for h in args)
-    if hint is bool or isinstance(value, bool):
-        return hint is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if hint is float else hint)
+#: a value's JSON-schema type, by the first type it is an instance of: an integer (and number) is an int, not a bool
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", type(None): "null",
+                    list: "array", dict: "object"}
 
 
-def _check_record(doc, hints: dict, what: str, partial: bool = False) -> dict:
-    """``doc`` if it is a JSON object with only keys of ``hints``, each of its type; else
-    ``ValueError``, or ``KeyError`` for a missing key unless ``partial`` leaves it to its default."""
+def _check_record(doc, schema: dict, what: str) -> dict:
+    """``doc`` if it is a JSON object that meets the object schema ``schema``, else ``ValueError`` naming
+    ``what`` and the key, or ``KeyError`` for a missing required key.  A record in a record is named by its
+    key, one in an array ``"<key> row"``.  Stricter than JSON Schema: ``1.0`` is no integer, NaN meets no bound."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    for key in doc:
-        if key not in hints:
-            raise ValueError(f"unknown {what} key {key!r}")
-    for key, hint in hints.items():  # doc[key] raises KeyError for a missing key
-        if (key in doc or not partial) and not _json_fits(doc[key], hint):
-            name = hint.__name__ if isinstance(hint, type) else hint
-            raise ValueError(f"{what} key {key!r}: {doc[key]!r} is not {name}")
+    if schema.get("additionalProperties") is False and (unknown := doc.keys() - schema["properties"].keys()):
+        raise ValueError(f"unknown {what} key {min(unknown)!r}")
+    for key, spec in schema["properties"].items():  # doc[key] raises KeyError for a missing required key
+        if (key in doc or key in schema.get("required", ())) and (problem := _mismatch(doc[key], spec, key)):
+            raise ValueError(f"{what} key {key!r}: {problem}")
     return doc
 
 
-#: field types of the result document's top level, its config and each trace row
-_RESULT_FIELDS = {"schema_version": int, "config": dict, "termination": str, "a_bound": float | None,
-                  "x_final": list[float], "trace": list}
-_CONFIG_FIELDS = typing.get_type_hints(IrlsConfig)
-_SAVED_CONFIG_FIELDS = {**_CONFIG_FIELDS, "K": int, "warmstart_iters": int}  # a saved config is resolved
-_TRACE_FIELDS = typing.get_type_hints(IterationRecord)
-_TRACE_MINIMUMS = {"n": 1, "eps": 0, "step_l1": 0, "ref_error_l1": 0}  # the schema's; None has none
+def _mismatch(value, schema: dict, key: str) -> str | None:  # why value, held by key, does not meet schema
+    if "properties" in schema:  # a record, which raises for itself
+        _check_record(value, schema, key)
+    kind = next((name for t, name in _JSON_TYPE_NAMES.items() if isinstance(value, t)), None)
+    types = [schema["type"]] if isinstance(schema.get("type"), str) else schema.get("type", [kind])
+    if kind not in types and not (kind == "integer" and "number" in types):
+        return f"{value!r} is not {' or '.join(types)}"
+    choices = schema.get("enum", [schema["const"]] if "const" in schema else None)
+    if choices is not None and not any(type(value) is type(c) and value == c for c in choices):
+        return f"{value!r} is not one of {choices}"
+    for bound, fits, word in (("minimum", operator.ge, "below"), ("exclusiveMinimum", operator.gt, "not above"),
+                              ("maximum", operator.le, "above")):
+        if bound in schema and kind in ("integer", "number") and not fits(value, schema[bound]):  # NaN fits none
+            return f"{value!r} is {word} {schema[bound]}"
+    for i, item in enumerate(value if "items" in schema and isinstance(value, list) else []):
+        if problem := _mismatch(item, schema["items"], f"{key} row"):
+            return f"entry {i}: {problem}"
+    return None
 
 
 def load_result(path) -> RecoveryResult:
@@ -403,25 +401,11 @@ def load_result(path) -> RecoveryResult:
     # a later schema is named by its version first; the record check rejects a non-object
     if isinstance(doc, dict) and doc.get("schema_version") != RESULT_SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    _check_record(doc, _RESULT_FIELDS, "result")
-    cfg = IrlsConfig(**_check_record(doc["config"], _SAVED_CONFIG_FIELDS, "config"))
-    trace = [IterationRecord(**_check_record(row, _TRACE_FIELDS, "trace row")) for row in doc["trace"]]
-    for row in doc["trace"]:
-        for key, low in _TRACE_MINIMUMS.items():
-            if row[key] is not None and not row[key] >= low:
-                raise ValueError(f"trace row key {key!r}: {row[key]!r} is below {low}")
-    if doc["termination"] not in TERMINATIONS:
-        raise ValueError(f"key 'termination': unknown reason {doc['termination']!r}")
+    _check_record(doc, _SCHEMA, "result")  # and with it the config and each trace row
     return RecoveryResult(
         x_final=np.array(doc["x_final"], dtype=float),
         termination=doc["termination"],
-        trace=trace,
+        trace=[IterationRecord(**row) for row in doc["trace"]],
         a_bound=math.nan if doc["a_bound"] is None else doc["a_bound"],
-        config=cfg,
+        config=IrlsConfig(**doc["config"]),
     )
-
-
-def result_schema() -> dict:
-    """The JSON schema shipped with the package."""
-    text = resources.files("irlskit").joinpath("schemas/recovery_result.schema.json").read_text()
-    return json.loads(text)

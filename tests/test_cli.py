@@ -120,6 +120,25 @@ def test_lp_stack_loads_only_for_an_lp(tiny_files, tmp_path):
     assert json.loads(proc.stdout) == [False, False, False, True]
 
 
+JSONSCHEMA_PROBE = """
+import sys
+import numpy as np
+import irlskit.cli
+from irlskit import IrlsConfig, SensingMatrix, irls_run
+from irlskit.solver import load_result, save_result
+run = irls_run(SensingMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])), np.array([1.0, 1.0]), IrlsConfig(K=1))
+save_result(run, sys.argv[1])
+assert load_result(sys.argv[1]).config == run.config
+assert "jsonschema" not in sys.modules, "jsonschema was imported"
+"""
+
+
+def test_results_are_checked_without_jsonschema(tmp_path):
+    src = str(Path(irlskit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", JSONSCHEMA_PROBE, str(tmp_path / "r.json")], env=env, check=True)
+
+
 def test_check_nsp_tiny(tiny_files, capsys):
     matrix, _ = tiny_files
     code = main(["check", "--matrix", matrix, "--nsp", "1"])

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -534,3 +535,74 @@ def test_irls_config_types_checked_or_round_trip(roundtrip_instance, tmp_path_fa
     path = tmp_path_factory.getbasetemp() / "roundtrip.json"
     save_result(run, path)
     assert load_result(path).config == run.config
+    jsonschema.validate(result_to_dict(run), result_schema())
+
+
+#: JSON values a mutation sets; integral floats and infinities have their own strategies, so each is drawn often
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 2**70),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False),
+    st.sampled_from([math.inf, -math.inf]),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3), st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2)
+)
+
+
+@pytest.fixture(scope="module")
+def saved_doc():
+    return _doc_with("doc", lambda doc: doc)
+
+
+def _is_integer_field(spec: dict) -> bool:
+    return spec.get("type") == "integer" or type(spec.get("const")) is int
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(_RECORD_NAMES)), st.sampled_from(["delete", "unknown", "set"]), st.data())
+def test_load_result_accepts_what_the_schema_accepts(saved_doc, tmp_path_factory, block, mutation, data):
+    """A single-key mutation of a saved document loads exactly when ``jsonschema`` accepts it,
+    but for an integral float in an integer field, which only ``load_result`` rejects."""
+    doc = copy.deepcopy(saved_doc)
+    record = {"doc": doc, "config": doc["config"], "trace": doc["trace"][0]}[block]
+    known = data.draw(st.sampled_from(sorted(record)))
+    value = None
+    if mutation == "delete":
+        del record[known]
+    elif mutation == "unknown":
+        record[data.draw(st.text(max_size=4).filter(lambda k: k not in record))] = data.draw(_JSON_VALUES)
+    else:
+        record[known] = value = data.draw(_JSON_VALUES)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    doc = json.loads(path.read_text())  # the document as the loader reads it
+    schema = result_schema()
+    spec = {"doc": schema, "config": schema["properties"]["config"], "trace": schema["properties"]["trace"]["items"]}
+    integral_in_integer = isinstance(value, float) and value.is_integer() and _is_integer_field(
+        spec[block]["properties"][known]
+    )
+    try:
+        load_result(path)
+        loads = True
+    except (KeyError, ValueError):
+        loads = False
+    assert loads == (jsonschema.Draft202012Validator(schema).is_valid(doc) and not integral_in_integer)
+
+
+def test_result_schema_hands_out_copies(tmp_path):
+    """Changing the dict ``result_schema()`` returns changes nothing ``load_result`` or ``IrlsConfig`` accept."""
+    schema = result_schema()
+    del schema["required"]
+    del schema["properties"]["config"]["required"]
+    schema["properties"]["config"]["properties"]["tau"]["maximum"] = 2
+    schema["properties"]["termination"]["enum"].append("Bogus")
+    with pytest.raises(ValueError, match="tau"):
+        IrlsConfig(tau=1.5)
+    _load_rejected(tmp_path, _doc_with("doc", lambda doc: _toggle(doc, "a_bound")), KeyError, "a_bound")
+    _load_rejected(tmp_path, _doc_with("config", lambda cfg: _toggle(cfg, "K")), KeyError, "K")
+    _load_rejected(tmp_path, _doc_with("doc", lambda doc: {**doc, "termination": "Bogus"}), ValueError, "termination")
+    assert "required" in result_schema()
