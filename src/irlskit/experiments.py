@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from .errors import SchemaMismatchError
-from .linalg import SensingMatrix, make_rng
+from .linalg import SensingMatrix, _check_int, _check_shape, make_rng
 from .solver import (
     IrlsConfig,
     IterationRecord,
@@ -44,8 +44,8 @@ RNG_ID = f"numpy-{np.__version__}-philox-blake2b-v1"
 
 
 def derive_seed(master_seed: int, *parts) -> int:
-    """Stable 128-bit seed from the master seed and a cell key."""
-    payload = repr((int(master_seed),) + tuple(parts)).encode()
+    """Stable 128-bit seed from the master seed, any integer, and a cell key."""
+    payload = repr((_check_int(master_seed, "master_seed", None),) + tuple(parts)).encode()
     return int.from_bytes(hashlib.blake2b(payload, digest_size=16).digest(), "little")
 
 
@@ -64,8 +64,7 @@ def gen_gaussian_matrix(m: int, n: int, seed: int) -> SensingMatrix:
 
     Deterministic: the same seed yields a bit-identical matrix.
     """
-    if not m < n:
-        raise ValueError(f"need m < N, got m={m}, N={n}")
+    m, n = _check_shape(m, n)
     entries = make_rng(seed).normal(0.0, 1.0 / np.sqrt(m), size=(m, n))
     return SensingMatrix(entries)
 
@@ -73,8 +72,8 @@ def gen_gaussian_matrix(m: int, n: int, seed: int) -> SensingMatrix:
 def _check_gap_ratio(gap_ratio: float | None, k: int, n: int) -> None:
     if gap_ratio is not None and not gap_ratio > 0:
         raise ValueError(f"gap_ratio must be positive, got {gap_ratio}")
-    if gap_ratio is not None and not 0 < k < n:  # the gap is taken against the tail beyond k
-        raise ValueError(f"gap_ratio requires 1 <= k < N, got k = {k}, N = {n}")
+    if gap_ratio is not None:  # the gap is taken against the tail beyond k
+        _check_int(k, "k with a gap_ratio", 1, n - 1)
 
 
 def gen_sparse_vector(
@@ -87,8 +86,8 @@ def gen_sparse_vector(
     beyond it ("approximately k-sparse with gap ratio C"); the scale is
     found by a fixed-point iteration and validated to 1e-12 relative.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
+    n = _check_int(n, "n", 0)
+    k = _check_int(k, "k", 0, n)
     _check_gap_ratio(gap_ratio, k, n)
     rng = make_rng(seed)
     z = np.zeros(n)
@@ -129,7 +128,8 @@ class ExperimentConfig:
     (:func:`rerun_trial`) draw exactly k-sparse vectors and ignore it.
     Before any trial runs, ``ValueError`` rejects a field that does not fit its type (see ``_hint_schema``),
     a solver setting ``IrlsConfig`` rejects, an empty list, a repeated cell (``tau_list`` entries compare by
-    :func:`file_suffix`), a ``k_list`` entry outside [0, m] and an infinite ``success_tol``.
+    :func:`file_suffix`), a shape without 0 < m < N, a ``k`` or ``k_list`` entry outside [0, m] and an
+    infinite ``success_tol``.
     """
 
     m: int
@@ -150,29 +150,33 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_record(vars(self), _EXPERIMENT_SCHEMA, "config")
-        if not 0 <= self.k <= self.m < self.N:
-            raise ValueError(f"need k <= m < N, got k={self.k}, m={self.m}, N={self.N}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_shape(self.m, self.N)
+        _check_int(self.k, "k", 0, self.m)
+        _check_int(self.trials, "trials", 1)
         if not 0 <= self.success_tol < np.inf:
             raise ValueError(f"success_tol must be finite and non-negative, got {self.success_tol}")
         _check_gap_ratio(self.gap_ratio, self.k, self.N)
-        ks = self.k_list if self.k_list is not None else [self.k]
-        if not 0 < len(set(ks)) == len(ks) or not all(0 <= k <= self.m for k in ks):
-            raise ValueError(f"k_list must be a non-empty list of distinct entries in [0, m], got {self.k_list}")
+        ks = [_check_int(k, "k_list entry", 0, self.m) for k in self.k_sweep]
+        if not 0 < len(set(ks)) == len(ks):
+            raise ValueError(f"k_list must be a non-empty list of distinct entries, got {self.k_list}")
         if not self.tau_list or len({file_suffix(tau) for tau in self.tau_list}) < len(self.tau_list):
             raise ValueError(f"tau_list must be a non-empty list of entries with distinct file suffixes, got {self.tau_list}")
         for tau in self.tau_list:  # the solver's rules and K_policy, met before any trial runs
             _solver_config(self, tau, self.k)
+
+    @property
+    def k_sweep(self) -> list[int]:
+        """The planted sparsities of a phase table: ``k_list``, by default ``[k]``."""
+        return self.k_list if self.k_list is not None else [self.k]
 
     def resolve_K(self, planted_k: int) -> int:
         if self.K_policy == "EqualsPlantedK":
             return max(1, planted_k)
         if self.K_policy == "Heuristic":
             return default_sparsity_order(self.m, self.N)
-        if isinstance(self.K_policy, str) or not 1 <= self.K_policy < self.N:
+        if isinstance(self.K_policy, str):
             raise ValueError(f"unknown K_policy {self.K_policy!r}, not a name or an integer in [1, N)")
-        return int(self.K_policy)
+        return _check_int(self.K_policy, "K_policy", 1, self.N - 1)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -239,9 +243,10 @@ def _cached_matrix(m: int, n: int, seed: int) -> SensingMatrix:
     return gen_gaussian_matrix(m, n, seed)
 
 
-def _instance(cfg: ExperimentConfig, matrix_key: tuple, k: int, vector_key: tuple, gap_ratio: float | None = None):
-    """The seeded ``(phi, planted, y)`` of one run, its seeds derived from the master seed and the two keys."""
-    phi = _cached_matrix(cfg.m, cfg.N, derive_seed(cfg.master_seed, *matrix_key))
+def _instance(cfg: ExperimentConfig, k: int, vector_key: tuple, gap_ratio: float | None = None, matrix_cell=()):
+    """The seeded ``(phi, planted, y)`` of one run, its seeds derived from the master seed and the keys
+    ``vector_key`` and ``("matrix", *matrix_cell)``; the default cell is the phase table's shared matrix."""
+    phi = _cached_matrix(cfg.m, cfg.N, derive_seed(cfg.master_seed, "matrix", *matrix_cell))
     planted = gen_sparse_vector(cfg.N, k, derive_seed(cfg.master_seed, *vector_key), gap_ratio)
     return phi, planted, dgemv(1.0, phi.entries.T, planted, trans=1)
 
@@ -254,16 +259,12 @@ def rerun_trial(cfg: ExperimentConfig, k: int, tau: float, trial_index: int) -> 
     It succeeds when its l1 error is at most ``success_tol * ||planted||_1``.
     """
     tag = method_tag(tau)
-    matrix_key = ("matrix", k, tag, trial_index) if cfg.per_trial_matrix else ("matrix",)
-    phi, planted, y = _instance(cfg, matrix_key, k, ("trial", k, tag, trial_index))
+    cell = (k, tag, trial_index)
+    phi, planted, y = _instance(cfg, k, ("trial", *cell), matrix_cell=cell if cfg.per_trial_matrix else ())
     result = irls_run(phi, y, _solver_config(cfg, tau, k))
     err = float(np.sum(np.abs(result.x_final - planted)))
-    return TrialRecord(
-        trial_index,
-        bool(err <= cfg.success_tol * np.sum(np.abs(planted))),
-        result.iterations,
-        result.termination,
-    )
+    success = bool(err <= cfg.success_tol * np.sum(np.abs(planted)))
+    return TrialRecord(trial_index, success, result.iterations, result.termination)
 
 
 def run_phase_transition(
@@ -276,8 +277,7 @@ def run_phase_transition(
     One measurement matrix per table by default (seeded from the master
     seed); ``per_trial_matrix=True`` regenerates it for every trial.
     """
-    ks = cfg.k_list if cfg.k_list is not None else [cfg.k]
-    grid = [(k, tau) for k in ks for tau in cfg.tau_list]
+    grid = [(k, tau) for k in cfg.k_sweep for tau in cfg.tau_list]
     trials = cfg.trials
     keys = [(k, tau, t) for k, tau in grid for t in range(trials)]
     trial = partial(rerun_trial, cfg)
@@ -307,7 +307,7 @@ def run_trace(cfg: ExperimentConfig, tau: float) -> RecoveryResult:
     The planted vector (``cfg.gap_ratio`` aware) is the run's ``x_ref``, so
     ``rate_diagnostics(run)`` gives its rate ratios and ``run.trace`` its errors.
     """
-    phi, planted, y = _instance(cfg, ("matrix",), cfg.k, ("vector",), cfg.gap_ratio)
+    phi, planted, y = _instance(cfg, cfg.k, ("vector",), cfg.gap_ratio)
     return irls_run(phi, y, _solver_config(cfg, tau, cfg.k), x_ref=planted)
 
 

@@ -33,10 +33,14 @@ from .errors import IllConditionedError, RankDeficientError
 RANK_RTOL = 1e-12
 # Condition estimate above this aborts the weighted solve.
 COND_LIMIT = 1e14
+_FLOAT64 = np.dtype(float)
 
 
 def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+    if (arr := np.asarray(a)).dtype is not _FLOAT64:  # float64 input, the hot path, skips the dtype rule
+        if arr.dtype.kind not in "fiu":  # real numbers only: no complex, bool, text or object entries
+            raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(float)
     if not np.isfinite(arr).all():  # the method, not np.all: less dispatch on the hot path
         raise ValueError(f"{name} must have finite entries")
     if arr.ndim != ndim:
@@ -57,11 +61,26 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
 
 
+def _check_int(value, name: str, lo: int | None, hi: int | None = None) -> int:
+    """``int(value)`` for a Python or numpy integer, never a bool, in [lo, hi] (``hi=None``: no upper
+    bound, ``lo=None``: none at all), else ``ValueError`` naming ``name`` and the range."""
+    if type(value) is not int and isinstance(value, np.integer):  # type(True) is bool, not int
+        value = int(value)
+    if type(value) is int and (lo is None or lo <= value and (hi is None or value <= hi)):
+        return value
+    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
+
+
+def _check_shape(m, n) -> tuple[int, int]:
+    """``(m, N)`` as Python ints when they are integers with ``0 < m < N``."""
+    n = _check_int(n, "N", 2)
+    return _check_int(m, "m", 1, n - 1), n
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Philox generator keyed by ``seed``, a Python or numpy integer in [0, 2**128)."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**128:
-        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.Philox(key=_check_int(seed, "seed", 0, 2**128 - 1)))
 
 
 @dataclass(frozen=True)
@@ -79,9 +98,7 @@ class SensingMatrix:
 
     def __post_init__(self):
         arr = _as_float_array(self.entries, "entries", 2)
-        m, n = arr.shape
-        if not 0 < m < n:
-            raise ValueError(f"need 0 < m < N, got shape {arr.shape}")
+        m, n = _check_shape(*arr.shape)
         arr = np.array(arr, order="C")  # a copy: freezing it leaves the caller's array alone
         try:  # a Gram that overflowed raises ValueError
             lam = eigvalsh(dsyrk(1.0, arr.T, trans=1), lower=False)

@@ -21,8 +21,6 @@ _TICKS = 5  # ticks per axis
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (_TICKS - 1)
     return [lo + i * step for i in range(_TICKS)]
 

@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import IllConditionedError, MissingReferenceError
-from .linalg import SensingMatrix, _as_float_vector, _check_tau, weighted_ls_solve
+from .linalg import SensingMatrix, _as_float_vector, _check_int, _check_shape, _check_tau, weighted_ls_solve
 
 
 def result_schema() -> dict:
@@ -53,8 +53,7 @@ def default_sparsity_order(m: int, n: int) -> int:
     Clamped to [1, m - 1].  This tracks the usual scaling for Gaussian
     measurement ensembles; it is a documented default, not a prescription.
     """
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < N, got m={m}, N={n}")
+    m, n = _check_shape(m, n)
     k = math.floor(m / (2.0 * math.log(n / m)))
     return max(1, min(k, m - 1))
 
@@ -90,10 +89,7 @@ class IrlsConfig:
 
     def resolve_K(self, phi: SensingMatrix) -> int:
         m, n = phi.shape
-        k = self.K if self.K is not None else default_sparsity_order(m, n)
-        if not 1 <= k < n:
-            raise ValueError(f"K must satisfy 1 <= K < N, got K={k}, N={n}")
-        return k
+        return _check_int(self.K if self.K is not None else default_sparsity_order(m, n), "K", 1, n - 1)
 
 
 @dataclass(frozen=True)
@@ -164,8 +160,8 @@ def optimal_weights(x: np.ndarray, eps: float, tau: float = 1.0) -> np.ndarray:
     """Weights minimizing the surrogate at fixed (x, eps):
     ``w_j = (x_j^2 + eps^2) ** (-(2 - tau) / 2)``."""
     x = _as_float_vector(x, "x")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     _check_tau(tau)
     return (x * x + eps * eps) ** (-0.5 * (2.0 - tau))
 
@@ -178,8 +174,7 @@ def epsilon_update(eps_prev: float, x_next: np.ndarray, k_order: int) -> float:
     """
     x_next = _as_float_vector(x_next, "x_next")
     n = x_next.size
-    if not 1 <= k_order < n:
-        raise ValueError(f"need 1 <= K < N, got K={k_order}, N={n}")
+    k_order = _check_int(k_order, "K", 1, n - 1)
     if not eps_prev >= 0:
         raise ValueError("eps_prev must be non-negative")
     kth = n - 1 - k_order
@@ -309,25 +304,17 @@ def theoretical_contraction_factor(
         raise ValueError("rho must be in (0, 1)")
     if not 0 < gamma < 1:
         raise ValueError("gamma must be in (0, 1)")
-    if not K >= 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if not 0 <= k <= K:
-        raise ValueError(f"k must be in [0, K={K}], got {k}")
+    K = _check_int(K, "K", 1)
+    k = _check_int(k, "k", 0, K)
     _check_tau(tau)
     if tau == 1.0:
         return gamma * (1.0 + gamma) / (1.0 - rho) * (1.0 + 1.0 / (K + 1 - k))
-    if n_cols is None or not n_cols >= 1:
-        raise ValueError(f"tau < 1 needs n_cols >= 1, got {n_cols}")
+    n_cols = _check_int(n_cols, "n_cols", 1)  # None too: tau < 1 needs it
     if r_k is None or not 0 < r_k < math.inf:
         raise ValueError(f"tau < 1 needs a finite positive r_k, got {r_k}")
     a_const = 1.0 / (r_k ** (1.0 - tau) * (1.0 - rho) ** (2.0 - tau))
-    return (
-        2.0 ** (1.0 - tau)
-        * gamma
-        * (1.0 + gamma)
-        * a_const**tau
-        * (1.0 + (n_cols ** (1.0 - tau) / (K + 1 - k)) ** (2.0 - tau))
-    )
+    return (2.0 ** (1.0 - tau) * gamma * (1.0 + gamma) * a_const**tau
+            * (1.0 + (n_cols ** (1.0 - tau) / (K + 1 - k)) ** (2.0 - tau)))
 
 
 # --- JSON serialization -----------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _as_float_vector, _check_tau
+from .linalg import _as_float_vector, _check_int, _check_tau
 
 
 def rearrangement(z: np.ndarray) -> np.ndarray:
@@ -29,8 +29,7 @@ def sigma_k(z: np.ndarray, k: int, tau: float = 1.0) -> float:
     k-sparse.
     """
     r = rearrangement(z)
-    if not 0 <= k <= r.size:
-        raise ValueError(f"k must be in [0, {r.size}], got {k}")
+    k = _check_int(k, "k", 0, r.size)
     _check_tau(tau)
     return float(np.sum(r[k:] ** tau))
 

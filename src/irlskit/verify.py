@@ -39,7 +39,7 @@ from scipy.linalg import svdvals
 from scipy.linalg.blas import dgemm
 
 from .errors import BudgetExceededError, DimensionTooLargeError, InfeasibleError, IrlsKitError
-from .linalg import RANK_RTOL, SensingMatrix, _as_float_array, _as_float_vector, _check_tau, make_rng, null_space_basis
+from .linalg import RANK_RTOL, SensingMatrix, _as_float_array, _as_float_vector, _check_int, _check_tau, make_rng, null_space_basis
 
 EXACT_NSP_MAX_DIM = 4
 EXACT_NSP_MAX_COLS = 16
@@ -116,8 +116,7 @@ def rip_constant(phi: SensingMatrix, order: int) -> PropertyReport:
     delta_sq = max(sigma_max^2 - 1, 1 - sigma_min^2).)
     """
     m, n = phi.shape
-    if not 1 <= order <= m:
-        raise ValueError(f"order must be in [1, m={m}], got {order}")
+    order = _check_int(order, "order", 1, m)
     supports = _budgeted_supports(n, order, RIP_SUPPORT_BUDGET)
     t0 = time.perf_counter()
     delta = 0.0
@@ -159,8 +158,7 @@ def rip_to_nsp_bound(delta: float, j: int, j_prime: int) -> float:
     gamma_j <= (1 + delta) / (1 - delta) * sqrt(j / j_prime)."""
     if not 0 <= delta < 1:
         raise ValueError("delta must be in [0, 1)")
-    if j < 1 or j_prime < 1:
-        raise ValueError("j and j_prime must be >= 1")
+    j, j_prime = _check_int(j, "j", 1), _check_int(j_prime, "j_prime", 1)
     return (1.0 + delta) / (1.0 - delta) * math.sqrt(j / j_prime)
 
 
@@ -218,6 +216,11 @@ def _exact_top_shares(basis: np.ndarray) -> np.ndarray:
     return np.cumsum(etas[:, ::-1], axis=1).max(axis=0)
 
 
+def _exact_nsp_applies(m: int, n: int) -> bool:
+    """Whether exact NSP enumeration takes an m-by-N matrix: a small kernel and few columns."""
+    return n - m <= EXACT_NSP_MAX_DIM and n <= EXACT_NSP_MAX_COLS
+
+
 def exact_nsp_profile(phi: SensingMatrix) -> np.ndarray:
     """Exact gamma_L for every order L = 1..N-1 (index L-1 in the result).
 
@@ -226,7 +229,7 @@ def exact_nsp_profile(phi: SensingMatrix) -> np.ndarray:
     L-sparse kernel vector makes the ratio unbounded.
     """
     m, n = phi.shape
-    if n - m > EXACT_NSP_MAX_DIM or n > EXACT_NSP_MAX_COLS:
+    if not _exact_nsp_applies(m, n):
         raise DimensionTooLargeError(
             f"exact enumeration limited to null-space dim <= {EXACT_NSP_MAX_DIM} "
             f"and N <= {EXACT_NSP_MAX_COLS}; got dim {n - m}, N {n}"
@@ -282,17 +285,14 @@ def nsp_constant(
     ``seed``, the Philox key of the scan, is an integer in [0, 2**128).
     """
     m, n = phi.shape
-    if not 1 <= order < n:
-        raise ValueError(f"order must be in [1, N-1], got {order}")
+    order = _check_int(order, "order", 1, n - 1)
     _check_tau(tau)
     rng = make_rng(seed)
     if method not in ("auto", "exact", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples}")
-    small = n - m <= EXACT_NSP_MAX_DIM and n <= EXACT_NSP_MAX_COLS
+    samples = _check_int(samples, "samples", 0)
     if method == "auto":
-        method = "exact" if (tau == 1.0 and small) else "montecarlo"
+        method = "exact" if (tau == 1.0 and _exact_nsp_applies(m, n)) else "montecarlo"
     t0 = time.perf_counter()
     if method == "exact":
         if tau != 1.0:
@@ -322,8 +322,7 @@ def sparse_oracle(
     """
     m, n = phi.shape
     y = _as_float_vector(y, "y", m)
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
+    k = _check_int(k, "k", 0, n)
     supports = _budgeted_supports(n, k, SPARSE_ORACLE_BUDGET)
     if k == 0:
         return (), np.zeros(n), float(np.linalg.norm(y))

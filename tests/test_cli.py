@@ -308,11 +308,14 @@ def test_mistyped_config_exit_2(tmp_path, capsys, command, key, value):
         ("phase", {"tau_list": [1.0, 1.0]}, "tau_list"),
         ("trace", {"tau_list": [1.0, 1.0]}, "tau_list"),
         ("trace", {"tau_list": [1.0, 0.9999995]}, "tau_list"),
+        ("phase", {"m": 0, "N": 5, "k": 0}, "m"),
+        ("trace", {"m": 0, "N": 5, "k": 0}, "m"),
     ],
     ids=[
         "trace-warmstart_iters", "phase-max_iters", "phase-K_policy",
         "phase-tau_list-empty", "phase-k_list-empty", "trace-tau_list-empty", "phase-k_list-range",
         "trace-gap_ratio-k0", "phase-tau_list-repeated", "trace-tau_list-repeated", "trace-tau_list-same-file",
+        "phase-m-zero", "trace-m-zero",
     ],
 )
 def test_config_meets_solver_rules_before_any_trial(tmp_path, capsys, command, fields, key):
