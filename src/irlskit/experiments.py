@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from .errors import SchemaMismatchError
-from .linalg import SensingMatrix, _check_int, _check_shape, make_rng
+from .linalg import SensingMatrix, _check_int, _check_real, _check_shape, make_rng
 from .solver import (
     IrlsConfig,
     IterationRecord,
@@ -69,11 +69,11 @@ def gen_gaussian_matrix(m: int, n: int, seed: int) -> SensingMatrix:
     return SensingMatrix(entries)
 
 
-def _check_gap_ratio(gap_ratio: float | None, k: int, n: int) -> None:
-    if gap_ratio is not None and not gap_ratio > 0:
-        raise ValueError(f"gap_ratio must be positive, got {gap_ratio}")
+def _check_gap_ratio(gap_ratio: float | None, k: int, n: int) -> float | None:
     if gap_ratio is not None:  # the gap is taken against the tail beyond k
+        gap_ratio = _check_real(gap_ratio, "gap_ratio", 0, np.inf, open_lo=True, open_hi=True)
         _check_int(k, "k with a gap_ratio", 1, n - 1)
+    return gap_ratio
 
 
 def gen_sparse_vector(
@@ -88,7 +88,7 @@ def gen_sparse_vector(
     """
     n = _check_int(n, "n", 0)
     k = _check_int(k, "k", 0, n)
-    _check_gap_ratio(gap_ratio, k, n)
+    gap_ratio = _check_gap_ratio(gap_ratio, k, n)
     rng = make_rng(seed)
     z = np.zeros(n)
     if k > 0:
@@ -128,8 +128,8 @@ class ExperimentConfig:
     (:func:`rerun_trial`) draw exactly k-sparse vectors and ignore it.
     Before any trial runs, ``ValueError`` rejects a field that does not fit its type (see ``_hint_schema``),
     a solver setting ``IrlsConfig`` rejects, an empty list, a repeated cell (``tau_list`` entries compare by
-    :func:`file_suffix`), a shape without 0 < m < N, a ``k`` or ``k_list`` entry outside [0, m] and an
-    infinite ``success_tol``.
+    :func:`file_suffix`), a shape without 0 < m < N, a ``k`` or ``k_list`` entry outside [0, m], a
+    ``success_tol`` outside [0, inf) and a ``gap_ratio`` outside (0, inf).
     """
 
     m: int
@@ -153,8 +153,7 @@ class ExperimentConfig:
         _check_shape(self.m, self.N)
         _check_int(self.k, "k", 0, self.m)
         _check_int(self.trials, "trials", 1)
-        if not 0 <= self.success_tol < np.inf:
-            raise ValueError(f"success_tol must be finite and non-negative, got {self.success_tol}")
+        _check_real(self.success_tol, "success_tol", 0, np.inf, open_hi=True)
         _check_gap_ratio(self.gap_ratio, self.k, self.N)
         ks = [_check_int(k, "k_list entry", 0, self.m) for k in self.k_sweep]
         if not 0 < len(set(ks)) == len(ks):
@@ -281,7 +280,7 @@ def run_phase_transition(
     trials = cfg.trials
     keys = [(k, tau, t) for k, tau in grid for t in range(trials)]
     trial = partial(rerun_trial, cfg)
-    workers = n_workers if n_workers is not None else worker_count()
+    workers = worker_count() if n_workers is None else _check_int(n_workers, "n_workers", 1)
     if workers > 1 and len(keys) > 8:
         # pool.map pickles ``trial``, and with it the config, once per chunk
         with ProcessPoolExecutor(max_workers=workers) as pool:

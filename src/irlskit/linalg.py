@@ -36,12 +36,12 @@ COND_LIMIT = 1e14
 _FLOAT64 = np.dtype(float)
 
 
-def _as_float_array(a, name: str, ndim: int) -> np.ndarray:
+def _as_float_array(a, name: str, ndim: int, finite: bool = True) -> np.ndarray:
     if (arr := np.asarray(a)).dtype is not _FLOAT64:  # float64 input, the hot path, skips the dtype rule
         if arr.dtype.kind not in "fiu":  # real numbers only: no complex, bool, text or object entries
             raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
         arr = arr.astype(float)
-    if not np.isfinite(arr).all():  # the method, not np.all: less dispatch on the hot path
+    if finite and not np.isfinite(arr).all():  # the method, not np.all: less dispatch on the hot path
         raise ValueError(f"{name} must have finite entries")
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-d array, got shape {arr.shape}")
@@ -56,9 +56,20 @@ def _as_float_vector(a, name: str, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def _check_tau(tau: float) -> None:
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+def _check_real(value, name: str, lo: float, hi: float, open_lo: bool = False, open_hi: bool = False) -> float:
+    """``float(value)`` for a Python or numpy integer or float, never a bool, in the interval from ``lo``
+    to ``hi`` (an end is closed unless its ``open_`` flag is set; NaN lies in none), else ``ValueError``
+    naming ``name`` and the interval."""
+    if type(value) is float or (isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool):
+        x = float(value)  # np.bool_ is neither a np.integer nor a np.floating
+        if (lo < x if open_lo else lo <= x) and (x < hi if open_hi else x <= hi):
+            return x
+    interval = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+    raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+
+
+def _check_tau(tau) -> float:
+    return _check_real(tau, "tau", 0, 1, open_lo=True)
 
 
 def _check_int(value, name: str, lo: int | None, hi: int | None = None) -> int:
@@ -239,7 +250,7 @@ def _read_rows(path, header_names: str) -> np.ndarray:
 
 
 def write_matrix(path, a: np.ndarray) -> None:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = _as_float_array(a, "a", 2, finite=False)  # before the file opens; nan and inf are written as tokens
     _write_rows(path, f"{a.shape[0]} {a.shape[1]}", a)
 
 
@@ -248,7 +259,7 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_vector(path, v: np.ndarray) -> None:
-    v = np.asarray(v, dtype=float).ravel()
+    v = _as_float_array(v, "v", 1, finite=False)
     _write_rows(path, f"{v.size}", v[None, :])
 
 

@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import IllConditionedError, MissingReferenceError
-from .linalg import SensingMatrix, _as_float_vector, _check_int, _check_shape, _check_tau, weighted_ls_solve
+from .linalg import SensingMatrix, _as_float_vector, _check_int, _check_real, _check_shape, _check_tau, weighted_ls_solve
 
 
 def result_schema() -> dict:
@@ -135,9 +135,7 @@ def surrogate_value(z: np.ndarray, w: np.ndarray, eps: float, tau: float = 1.0) 
     w = _as_float_vector(w, "w", z.size)
     if np.any(w <= 0):
         raise ValueError("w must be strictly positive")
-    if not eps >= 0:
-        raise ValueError("eps must be non-negative")
-    _check_tau(tau)
+    eps, tau = _check_real(eps, "eps", 0, math.inf), _check_tau(tau)
     quad = float(np.sum(z * z * w))
     reg = float(eps * eps * np.sum(w) + ((2.0 - tau) / tau) * np.sum(w ** (-tau / (2.0 - tau))))
     return 0.5 * tau * (quad + reg)
@@ -150,9 +148,7 @@ def smoothed_objective(z: np.ndarray, eps: float, tau: float = 1.0) -> float:
     here; at tau = 1, eps = 0 it is the l1 norm.
     """
     z = _as_float_vector(z, "z")
-    if not eps >= 0:
-        raise ValueError("eps must be non-negative")
-    _check_tau(tau)
+    eps, tau = _check_real(eps, "eps", 0, math.inf), _check_tau(tau)
     return float(np.sum((z * z + eps * eps) ** (0.5 * tau)))
 
 
@@ -160,9 +156,7 @@ def optimal_weights(x: np.ndarray, eps: float, tau: float = 1.0) -> np.ndarray:
     """Weights minimizing the surrogate at fixed (x, eps):
     ``w_j = (x_j^2 + eps^2) ** (-(2 - tau) / 2)``."""
     x = _as_float_vector(x, "x")
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
-    _check_tau(tau)
+    eps, tau = _check_real(eps, "eps", 0, math.inf, open_lo=True, open_hi=True), _check_tau(tau)
     return (x * x + eps * eps) ** (-0.5 * (2.0 - tau))
 
 
@@ -175,8 +169,7 @@ def epsilon_update(eps_prev: float, x_next: np.ndarray, k_order: int) -> float:
     x_next = _as_float_vector(x_next, "x_next")
     n = x_next.size
     k_order = _check_int(k_order, "K", 1, n - 1)
-    if not eps_prev >= 0:
-        raise ValueError("eps_prev must be non-negative")
+    eps_prev = _check_real(eps_prev, "eps_prev", 0, math.inf)
     kth = n - 1 - k_order
     return min(eps_prev, float(np.partition(np.abs(x_next), kth)[kth]) / n)
 
@@ -300,18 +293,15 @@ def theoretical_contraction_factor(
     This estimate can be very pessimistic when ``r_k`` is small; treat it
     as a diagnostic, never as a convergence gate.
     """
-    if not 0 < rho < 1:
-        raise ValueError("rho must be in (0, 1)")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must be in (0, 1)")
+    rho = _check_real(rho, "rho", 0, 1, open_lo=True, open_hi=True)
+    gamma = _check_real(gamma, "gamma", 0, 1, open_lo=True, open_hi=True)
     K = _check_int(K, "K", 1)
     k = _check_int(k, "k", 0, K)
-    _check_tau(tau)
+    tau = _check_tau(tau)
     if tau == 1.0:
         return gamma * (1.0 + gamma) / (1.0 - rho) * (1.0 + 1.0 / (K + 1 - k))
     n_cols = _check_int(n_cols, "n_cols", 1)  # None too: tau < 1 needs it
-    if r_k is None or not 0 < r_k < math.inf:
-        raise ValueError(f"tau < 1 needs a finite positive r_k, got {r_k}")
+    r_k = _check_real(r_k, "r_k", 0, math.inf, open_lo=True, open_hi=True)
     a_const = 1.0 / (r_k ** (1.0 - tau) * (1.0 - rho) ** (2.0 - tau))
     return (2.0 ** (1.0 - tau) * gamma * (1.0 + gamma) * a_const**tau
             * (1.0 + (n_cols ** (1.0 - tau) / (K + 1 - k)) ** (2.0 - tau)))

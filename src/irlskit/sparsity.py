@@ -30,6 +30,6 @@ def sigma_k(z: np.ndarray, k: int, tau: float = 1.0) -> float:
     """
     r = rearrangement(z)
     k = _check_int(k, "k", 0, r.size)
-    _check_tau(tau)
+    tau = _check_tau(tau)
     return float(np.sum(r[k:] ** tau))
 

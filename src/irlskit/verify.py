@@ -39,7 +39,7 @@ from scipy.linalg import svdvals
 from scipy.linalg.blas import dgemm
 
 from .errors import BudgetExceededError, DimensionTooLargeError, InfeasibleError, IrlsKitError
-from .linalg import RANK_RTOL, SensingMatrix, _as_float_array, _as_float_vector, _check_int, _check_tau, make_rng, null_space_basis
+from .linalg import RANK_RTOL, SensingMatrix, _as_float_array, _as_float_vector, _check_int, _check_real, _check_tau, make_rng, null_space_basis
 
 EXACT_NSP_MAX_DIM = 4
 EXACT_NSP_MAX_COLS = 16
@@ -156,8 +156,7 @@ def rip_constant(phi: SensingMatrix, order: int) -> PropertyReport:
 def rip_to_nsp_bound(delta: float, j: int, j_prime: int) -> float:
     """Null-space constant implied by a RIP constant of order j + j_prime:
     gamma_j <= (1 + delta) / (1 - delta) * sqrt(j / j_prime)."""
-    if not 0 <= delta < 1:
-        raise ValueError("delta must be in [0, 1)")
+    delta = _check_real(delta, "delta", 0, 1, open_hi=True)
     j, j_prime = _check_int(j, "j", 1), _check_int(j_prime, "j_prime", 1)
     return (1.0 + delta) / (1.0 - delta) * math.sqrt(j / j_prime)
 
@@ -286,7 +285,7 @@ def nsp_constant(
     """
     m, n = phi.shape
     order = _check_int(order, "order", 1, n - 1)
-    _check_tau(tau)
+    tau = _check_tau(tau)
     rng = make_rng(seed)
     if method not in ("auto", "exact", "montecarlo"):
         raise ValueError(f"unknown method {method!r}")

@@ -29,13 +29,31 @@ from irlskit import (
     theoretical_contraction_factor,
     weighted_ls_solve,
 )
-from irlskit.experiments import derive_seed
+from irlskit.experiments import derive_seed, run_phase_transition
+from irlskit.linalg import write_matrix, write_vector
 from irlskit.plotting import emit_plot
 
 PHI = SensingMatrix([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 NAN4 = [np.nan, 1.0, 0.0, 2.0]
 #: arrays that hold no real numbers, each of PHI's row count: complex, bool, text
 NOT_REAL = {"complex": np.ones(2) + 1j, "bool": np.ones(2, dtype=bool), "text": ["1.0", "2.0"]}
+#: scalars that are no real numbers; the bool of each case below lies in its interval, as 0 or 1
+NOT_REAL_SCALARS = (1 + 0j, "0.5", None)
+SCALARS = [  # (id, call of the scalar, its name, the values that are no real numbers)
+    ("nsp_constant-tau", lambda v: nsp_constant(PHI, 1, tau=v), "tau", (True, *NOT_REAL_SCALARS)),
+    ("sigma_k-tau", lambda v: sigma_k([1.0, 2.0], 1, tau=v), "tau", (True, *NOT_REAL_SCALARS)),
+    ("surrogate_value-eps", lambda v: surrogate_value([1.0], [1.0], v), "eps", (True, *NOT_REAL_SCALARS)),
+    ("smoothed_objective-eps", lambda v: smoothed_objective([1.0], v), "eps", (True, *NOT_REAL_SCALARS)),
+    ("optimal_weights-eps", lambda v: optimal_weights([1.0], v), "eps", (True, *NOT_REAL_SCALARS)),
+    ("epsilon_update-eps_prev", lambda v: epsilon_update(v, [1.0, 2.0, 3.0], 1), "eps_prev", (True, *NOT_REAL_SCALARS)),
+    ("contraction-rho", lambda v: theoretical_contraction_factor(0.1, v, 3, 2), "rho", NOT_REAL_SCALARS),
+    ("contraction-gamma", lambda v: theoretical_contraction_factor(v, 0.5, 3, 2), "gamma", NOT_REAL_SCALARS),
+    ("contraction-r_k", lambda v: theoretical_contraction_factor(0.1, 0.5, 3, 2, tau=0.5, n_cols=10, r_k=v), "r_k",
+     (True, *NOT_REAL_SCALARS)),
+    ("rip_to_nsp_bound-delta", lambda v: rip_to_nsp_bound(v, 1, 1), "delta", (False, *NOT_REAL_SCALARS)),
+    # None is the default, no gap ratio at all
+    ("gen_sparse_vector-gap_ratio", lambda v: gen_sparse_vector(5, 2, 0, gap_ratio=v), "gap_ratio", (True, 1 + 0j, "0.5")),
+]
 
 
 def _config(**kw):
@@ -180,6 +198,13 @@ CASES = [
     pytest.param(lambda: _config(tau_list=[1.0, 0.9999995]), "tau_list", id="ExperimentConfig-tau_list-same-file"),
     pytest.param(lambda: _config(success_tol=np.inf), "success_tol", id="ExperimentConfig-success_tol-inf"),
     pytest.param(lambda: emit_plot("unused.csv", "bogus", "unused.svg"), "kind", id="emit_plot-kind"),
+    # real scalars: the type rule, and a finite gap_ratio
+    *[pytest.param(lambda call=call, v=v: call(v), name, id=f"{case}-{type(v).__name__}")
+      for case, call, name, values in SCALARS for v in values],
+    pytest.param(lambda: gen_sparse_vector(5, 2, 0, gap_ratio=np.inf), "gap_ratio", id="gen_sparse_vector-gap_ratio-inf"),
+    pytest.param(lambda: _config(gap_ratio=np.inf), "gap_ratio", id="ExperimentConfig-gap_ratio-inf"),
+    *[pytest.param(lambda n=n: run_phase_transition(_config(trials=9), n_workers=n), "n_workers",
+                   id=f"run_phase_transition-n_workers-{n}") for n in (2.5, True, 0)],
 ]
 
 
@@ -203,3 +228,29 @@ def test_numpy_integers_are_accepted_as_python_ints():
     assert type(report.order) is int and type(report.samples) is int
     assert json.loads(json.dumps(asdict(report)))["samples"] == 100
     assert type(rip_constant(PHI, i(2)).order) is int
+
+
+def test_numpy_floats_are_accepted_as_python_floats():
+    report = nsp_constant(PHI, 1, tau=np.float32(0.5), method="montecarlo", samples=10)
+    assert type(report.tau) is float and type(report.order) is int
+    assert json.loads(json.dumps(asdict(report)))["tau"] == 0.5
+    x = [3.0, -1.0, 0.5]
+    assert optimal_weights(x, np.float64(0.1)).tobytes() == optimal_weights(x, 0.1).tobytes()
+    assert epsilon_update(np.float32(0.5), x, 1) == epsilon_update(0.5, x, 1)
+
+
+#: arrays a writer must refuse before it opens its file: not real numbers, or the wrong rank
+WRITES = [
+    *[pytest.param(write_matrix, [a, a], "a", id=f"write_matrix-{kind}") for kind, a in NOT_REAL.items()],
+    pytest.param(write_matrix, np.ones((2, 2, 2)), "a", id="write_matrix-3d"),
+    *[pytest.param(write_vector, a, "v", id=f"write_vector-{kind}") for kind, a in NOT_REAL.items()],
+    pytest.param(write_vector, np.ones((2, 2)), "v", id="write_vector-2d"),
+]
+
+
+@pytest.mark.parametrize("write, a, name", WRITES)
+def test_writer_rule_names_its_argument_and_writes_nothing(tmp_path, write, a, name):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        write(path, a)
+    assert not path.exists()

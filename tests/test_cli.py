@@ -310,12 +310,13 @@ def test_mistyped_config_exit_2(tmp_path, capsys, command, key, value):
         ("trace", {"tau_list": [1.0, 0.9999995]}, "tau_list"),
         ("phase", {"m": 0, "N": 5, "k": 0}, "m"),
         ("trace", {"m": 0, "N": 5, "k": 0}, "m"),
+        ("trace", {"gap_ratio": float("inf")}, "gap_ratio"),
     ],
     ids=[
         "trace-warmstart_iters", "phase-max_iters", "phase-K_policy",
         "phase-tau_list-empty", "phase-k_list-empty", "trace-tau_list-empty", "phase-k_list-range",
         "trace-gap_ratio-k0", "phase-tau_list-repeated", "trace-tau_list-repeated", "trace-tau_list-same-file",
-        "phase-m-zero", "trace-m-zero",
+        "phase-m-zero", "trace-m-zero", "trace-gap_ratio-inf",
     ],
 )
 def test_config_meets_solver_rules_before_any_trial(tmp_path, capsys, command, fields, key):
